@@ -31,12 +31,6 @@ var frozenFlags = []string{
 	"workers",
 }
 
-// frozenLintFlags freezes cmd/igdblint's surface the same way: -bench
-// (benchmark artifact), -json (machine-readable report), -rules (analyzer
-// listing), -workers (package-phase worker count; output is identical for
-// any value). Scripts and CI depend on these spellings.
-var frozenLintFlags = []string{"bench", "json", "rules", "workers"}
-
 // flagMethods maps flag.FlagSet registration methods to the index of their
 // name argument.
 var flagMethods = map[string]int{
@@ -97,8 +91,5 @@ func registeredFlags(t *testing.T, dir string) []string {
 func TestNoNewFlags(t *testing.T) {
 	if got := registeredFlags(t, "."); !reflect.DeepEqual(got, frozenFlags) {
 		t.Errorf("igdb's flag surface changed.\n got: %q\nwant: %q\nIf the change is intentional, update frozenFlags.", got, frozenFlags)
-	}
-	if got := registeredFlags(t, filepath.Join("..", "igdblint")); !reflect.DeepEqual(got, frozenLintFlags) {
-		t.Errorf("igdblint's flag surface changed.\n got: %q\nwant: %q\nIf the change is intentional, update frozenLintFlags.", got, frozenLintFlags)
 	}
 }

@@ -1,33 +1,27 @@
 // Command igdblint is iGDB's project-aware static analyzer. It proves, at
-// lint time, invariants the Go compiler cannot: every SQL literal parses
-// and matches the canonical internal/core schema (sqlcheck), internal
-// packages neither drop errors (errdrop) nor bypass internal/obs
-// (logdiscipline), every Prometheus metric is named and documented
-// correctly (metriclint), mutex-guard annotations hold on every path
+// lint time, invariants the Go compiler, go vet and the test suite cannot:
+// every SQL literal parses and matches the canonical internal/core schema
+// (sqlcheck), internal packages neither drop errors (errdrop) nor bypass
+// internal/obs (logdiscipline), mutex-guard annotations hold on every path
 // (guardedby), locks are released on all exits and acquired in a
 // deadlock-free global order (lockorder), goroutines are tied to shutdown
 // paths (leakcheck), closers are closed on every path (closecheck),
 // unexported functions are reachable in the project call graph
 // (callgraph), snapshot state is never written after its atomic-pointer
 // publish (snapshotsafe), blocking operations thread a context.Context
-// (contextcheck), annotated hot paths do not allocate per loop iteration
-// (alloclint), and every //lint:ignore suppresses something (directive).
+// (contextcheck), and every //lint:ignore suppresses something
+// (directive).
 //
 // Usage:
 //
-//	igdblint [-json] [-bench file] [-workers N] [packages...]   lint packages (default ./...)
-//	igdblint -rules                                             list analyzers with one-line docs
+//	igdblint [-json] [packages...]   lint packages (default ./...)
+//	igdblint -rules                  list analyzers with one-line docs
 //
 // Findings print as file:line:col: rule: message and make the exit status
 // non-zero (1 = findings, 2 = usage or load failure). With -json the
-// report is an object {"findings": [...], "analyzers": [...]} where
-// analyzers carries per-analyzer wall time and finding counts; -bench
-// writes the analyzer stats plus the parallel driver's workers, cores,
-// serial baseline, and speedup to a standalone benchmark file. -workers
-// sets the package-phase worker count (0 = NumCPU); findings are
-// byte-identical for any value. A finding is suppressed by the directive
-// `//lint:ignore <rule> <reason>` on the same or the preceding line;
-// directives with unknown rules, missing reasons, or that suppress
+// report is an object {"findings": [...]}. A finding is suppressed by the
+// directive `//lint:ignore <rule> <reason>` on the same or the preceding
+// line; directives with unknown rules, missing reasons, or that suppress
 // nothing are themselves findings.
 package main
 
@@ -38,7 +32,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"igdb/internal/lint"
 )
@@ -49,23 +42,19 @@ func main() {
 
 // report is the -json output shape.
 type report struct {
-	Findings  []lint.Finding      `json:"findings"`
-	Analyzers []lint.AnalyzerStat `json:"analyzers"`
+	Findings []lint.Finding `json:"findings"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("igdblint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings and per-analyzer stats as JSON")
+	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	rules := fs.Bool("rules", false, "list analyzers and exit")
-	benchFile := fs.String("bench", "", "write per-analyzer wall time and finding counts to this file")
-	workers := fs.Int("workers", 0, "package-phase worker count (0 = NumCPU); findings are identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	linter := lint.NewLinter()
-	linter.Workers = *workers
 	if *rules {
 		for _, a := range linter.Analyzers {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
@@ -85,25 +74,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	findings := linter.Run(pkgs, fset)
 	relativize(findings)
 
-	if *benchFile != "" {
-		// Serial baseline on the same loaded packages: a fresh linter so
-		// analyzer state does not accumulate across the two runs.
-		serial := lint.NewLinter()
-		serial.Workers = 1
-		serial.Run(pkgs, fset)
-		if err := writeBench(*benchFile, linter, serial.TotalWallMs()); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
 			findings = []lint.Finding{}
 		}
-		if err := enc.Encode(report{Findings: findings, Analyzers: linter.Stats()}); err != nil {
+		if err := enc.Encode(report{Findings: findings}); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
@@ -117,45 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeBench records the per-analyzer stats plus the parallel driver's
-// workers/cores/serial-baseline/speedup as a standalone benchmark artifact
-// (BENCH_lint.json), the lint-side sibling of BENCH_serve.json. Per-
-// analyzer wall_ms is CPU time summed across workers; total_ms and
-// serial_ms are end-to-end wall clock, so speedup = serial_ms/total_ms.
-func writeBench(path string, linter *lint.Linter, serialMs float64) error {
-	workers := linter.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	total := linter.TotalWallMs()
-	speedup := 0.0
-	if total > 0 {
-		speedup = serialMs / total
-	}
-	out := struct {
-		Benchmark string              `json:"benchmark"`
-		Workers   int                 `json:"workers"`
-		Cores     int                 `json:"cores"`
-		TotalMs   float64             `json:"total_ms"`
-		SerialMs  float64             `json:"serial_ms"`
-		Speedup   float64             `json:"speedup"`
-		Analyzers []lint.AnalyzerStat `json:"analyzers"`
-	}{
-		Benchmark: "igdblint",
-		Workers:   workers,
-		Cores:     runtime.NumCPU(),
-		TotalMs:   total,
-		SerialMs:  serialMs,
-		Speedup:   speedup,
-		Analyzers: linter.Stats(),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // relativize rewrites absolute file paths relative to the working

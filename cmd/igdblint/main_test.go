@@ -2,17 +2,14 @@ package main
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
-
-	"igdb/internal/lint"
 )
 
-// TestRulesFlag locks the -rules listing: exactly the thirteen analyzers in
+// TestRulesFlag locks the -rules listing: exactly these analyzers in
 // registration order, each with a one-line doc. directive must stay last —
 // it reports unused suppressions after every other analyzer has run.
 func TestRulesFlag(t *testing.T) {
@@ -22,9 +19,9 @@ func TestRulesFlag(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
 	want := []string{
-		"sqlcheck", "errdrop", "logdiscipline", "metriclint",
+		"sqlcheck", "errdrop", "logdiscipline",
 		"guardedby", "lockorder", "leakcheck", "closecheck",
-		"callgraph", "snapshotsafe", "contextcheck", "alloclint",
+		"callgraph", "snapshotsafe", "contextcheck",
 		"directive",
 	}
 	if len(lines) != len(want) {
@@ -39,8 +36,7 @@ func TestRulesFlag(t *testing.T) {
 }
 
 // TestJSONCleanPackage: a clean package yields a report object with an
-// empty findings array (not null), stats for every analyzer, and exit
-// status 0.
+// empty findings array (not null) and exit status 0.
 func TestJSONCleanPackage(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-json", "./testdata/src/internal/clean"}, &out, &errb); code != 0 {
@@ -53,16 +49,13 @@ func TestJSONCleanPackage(t *testing.T) {
 	if rep.Findings == nil || len(rep.Findings) != 0 {
 		t.Fatalf("want empty findings array, got %v", rep.Findings)
 	}
-	if len(rep.Analyzers) != 13 {
-		t.Fatalf("want stats for 13 analyzers, got %d: %v", len(rep.Analyzers), rep.Analyzers)
-	}
 	if !strings.Contains(out.String(), `"findings": []`) {
 		t.Errorf("findings must serialize as [], not null:\n%s", out.String())
 	}
 }
 
 // TestJSONFindings: findings come back as a parseable report object with
-// relative paths and per-analyzer counts, and the exit status is 1.
+// relative paths, and the exit status is 1.
 func TestJSONFindings(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-json", "./testdata/src/internal/errdrop"}, &out, &errb); code != 1 {
@@ -83,68 +76,8 @@ func TestJSONFindings(t *testing.T) {
 			t.Errorf("finding path not relativized: %s", f.File)
 		}
 	}
-	counted := false
-	for _, s := range rep.Analyzers {
-		if s.Name == "errdrop" {
-			counted = true
-			if s.Findings != 3 {
-				t.Errorf("errdrop stat counts %d findings, want 3", s.Findings)
-			}
-		}
-	}
-	if !counted {
-		t.Errorf("no errdrop entry in analyzer stats: %v", rep.Analyzers)
-	}
 	if !strings.Contains(errb.String(), "3 finding(s)") {
 		t.Errorf("stderr missing findings count: %q", errb.String())
-	}
-}
-
-// TestBenchFlag: -bench writes a standalone benchmark artifact with a
-// total, one timed entry per analyzer, and the parallel driver's
-// workers/cores/serial-baseline/speedup columns.
-func TestBenchFlag(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_lint.json")
-	var out, errb strings.Builder
-	if code := run([]string{"-bench", path, "-workers", "2", "./testdata/src/internal/clean"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("bench file not written: %v", err)
-	}
-	var bench struct {
-		Benchmark string              `json:"benchmark"`
-		Workers   int                 `json:"workers"`
-		Cores     int                 `json:"cores"`
-		TotalMs   float64             `json:"total_ms"`
-		SerialMs  float64             `json:"serial_ms"`
-		Speedup   float64             `json:"speedup"`
-		Analyzers []lint.AnalyzerStat `json:"analyzers"`
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("bench file is not JSON: %v\n%s", err, data)
-	}
-	if bench.Benchmark != "igdblint" {
-		t.Errorf("benchmark name = %q, want igdblint", bench.Benchmark)
-	}
-	if bench.Workers != 2 {
-		t.Errorf("workers = %d, want the requested 2", bench.Workers)
-	}
-	if bench.Cores < 1 {
-		t.Errorf("cores = %d, want >= 1", bench.Cores)
-	}
-	if len(bench.Analyzers) != 13 {
-		t.Errorf("want 13 analyzer entries, got %d", len(bench.Analyzers))
-	}
-	if bench.TotalMs < 0 {
-		t.Errorf("negative total_ms %v", bench.TotalMs)
-	}
-	if bench.SerialMs <= 0 {
-		t.Errorf("serial_ms = %v, want a measured serial baseline", bench.SerialMs)
-	}
-	if bench.Speedup <= 0 {
-		t.Errorf("speedup = %v, want serial_ms/total_ms > 0", bench.Speedup)
 	}
 }
 
@@ -158,16 +91,15 @@ func TestBadPattern(t *testing.T) {
 }
 
 // TestFlagFreeze pins the CLI surface: exactly these flags and no others.
-// Analyzer behavior is steered by in-source annotations (// perf: hot
-// path, //lint:ignore, // guarded by), never by new command-line knobs —
-// a new flag here is an interface change that needs the docs, lint.sh,
-// and this freeze updated together.
+// Analyzer behavior is steered by in-source annotations (//lint:ignore,
+// // guarded by), never by command-line knobs — a new flag here is an
+// interface change that needs the docs and this freeze updated together.
 func TestFlagFreeze(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-help"}, &out, &errb); code != 2 {
 		t.Fatalf("igdblint -help exited %d, want 2 (flag.ErrHelp)", code)
 	}
-	want := []string{"bench", "json", "rules", "workers"}
+	want := []string{"json", "rules"}
 	var got []string
 	for _, line := range strings.Split(errb.String(), "\n") {
 		trimmed := strings.TrimSpace(line)

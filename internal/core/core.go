@@ -46,9 +46,11 @@ func (c StandardCity) Metro() string { return c.Name + "-" + c.Country }
 
 // IGDB is a built cross-layer database. Once a server publishes it behind
 // an atomic pointer it is shared by every request goroutine without
-// locking, so nothing reachable from it may be written after that swap;
-// igdblint's snapshotsafe analyzer enforces the discipline from the
-// annotation below.
+// locking, so nothing reachable from it may be written after that swap.
+// igdblint's snapshotsafe analyzer proves the discipline on every path
+// from the annotation below; the race detector sees a violation only on a
+// path that a concurrent test drives (the server's TestConcurrentRoutes
+// drives each route).
 //
 // snapshot: immutable after publish
 type IGDB struct {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -128,6 +129,24 @@ func TestTable3FindsPlantedCities(t *testing.T) {
 	}
 	if found == 0 {
 		t.Errorf("none of the planted Table 3 metros recovered; got %v", got)
+	}
+}
+
+// TestTable3Deterministic: when several hostnames vote for one missing
+// metro, the row must not depend on map iteration order. Seed 661263145210
+// has such ties; repeated calls on one Env must agree row for row.
+func TestTable3Deterministic(t *testing.T) {
+	cfg := worldgen.SmallConfig()
+	cfg.Seed = 661263145210
+	e, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.Table3()
+	for i := 1; i < 30; i++ {
+		if got := e.Table3(); !reflect.DeepEqual(got.Rows, first.Rows) {
+			t.Fatalf("call %d: rows differ from the first call:\nfirst: %v\ngot:   %v", i, first.Rows, got.Rows)
+		}
 	}
 }
 

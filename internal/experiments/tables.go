@@ -127,7 +127,9 @@ func (e *Env) Table3() Result {
 		if declared[bestMetro] {
 			continue
 		}
-		if _, seen := missing[bestMetro]; !seen {
+		// Several hostnames can vote for one metro; keep the smallest so
+		// the row does not depend on map iteration order.
+		if cur, seen := missing[bestMetro]; !seen || host < cur {
 			missing[bestMetro] = host
 		}
 	}

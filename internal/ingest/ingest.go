@@ -459,7 +459,7 @@ func CollectWith(ctx context.Context, w *worldgen.World, store *Store, asOf time
 				obs.F("backoff", delay))
 			if opts.Sleep != nil {
 				opts.Sleep(delay)
-			} else if err := sleepContext(ctx, delay); err != nil {
+			} else if err := SleepContext(ctx, delay); err != nil {
 				res.Err = fmt.Errorf("backoff interrupted: %w", err)
 				break
 			}
@@ -493,8 +493,10 @@ func CollectWith(ctx context.Context, w *worldgen.World, store *Store, asOf time
 	return report, firstErr
 }
 
-// sleepContext waits d or until ctx is cancelled, whichever comes first.
-func sleepContext(ctx context.Context, d time.Duration) error {
+// SleepContext waits d or until ctx is cancelled, whichever comes first,
+// and returns ctx.Err() when the wait was cut short. Retry loops use it so
+// a cancelled caller never sits out a backoff.
+func SleepContext(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -24,8 +24,7 @@ package lint
 //
 // The graph is deterministic: nodes and edges are recorded in (file, pos)
 // source order per package and packages are merged in load order, so two
-// builds over the same sources are identical regardless of the driver's
-// worker count.
+// builds over the same sources are identical.
 
 import (
 	"fmt"
@@ -179,31 +178,6 @@ func (g *CallGraph) NodeOf(fn *types.Func) *CGNode {
 	n := &CGNode{Obj: fn, name: funcDisplayName(fn)}
 	g.funcs[fn] = n
 	return n
-}
-
-// LitNode returns the node for a function literal, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return g.lits[lit] }
-
-// Reachable returns every node reachable from the seeds (the seeds
-// included), walking Out edges, in deterministic order.
-func (g *CallGraph) Reachable(seeds ...*CGNode) []*CGNode {
-	seen := map[*CGNode]bool{}
-	var out []*CGNode
-	var walk func(n *CGNode)
-	walk = func(n *CGNode) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		out = append(out, n)
-		for _, e := range n.Out {
-			walk(e.Callee)
-		}
-	}
-	for _, s := range seeds {
-		walk(s)
-	}
-	return out
 }
 
 // funcDisplayName renders pkg.Func or pkg.(*T).Method.

@@ -12,7 +12,6 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -451,115 +450,6 @@ func isNoReturnStmt(s ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-// Loop is one natural loop, keyed by its header block. Blocks holds the
-// loop body: the header plus every block that can reach a back edge into
-// the header without passing through the header again. Blocks that leave
-// the loop — a `return` or `break` arm inside the loop body — are NOT part
-// of the body, which is exactly the precision alloclint wants: an
-// allocation on an early-exit path runs at most once, not per iteration.
-type Loop struct {
-	Head   *Block
-	Blocks map[*Block]bool
-}
-
-// NaturalLoops finds every loop in the CFG by back-edge detection: a DFS
-// from Entry marks an edge u→v as a back edge when v is an ancestor on the
-// current DFS stack, and the loop body is the backward predecessor closure
-// from u that stops at v. Multiple back edges into one header (a `for`
-// with `continue`) merge into a single Loop. The result is ordered by
-// header block index, so two builds over the same body are identical.
-func (c *CFG) NaturalLoops() []Loop {
-	preds := map[*Block][]*Block{}
-	for _, b := range c.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-
-	const (
-		unvisited = 0
-		onStack   = 1
-		done      = 2
-	)
-	state := map[*Block]int{c.Entry: onStack}
-	type backEdge struct{ src, head *Block }
-	var backs []backEdge
-	type frame struct {
-		b *Block
-		i int
-	}
-	stack := []frame{{c.Entry, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i < len(f.b.Succs) {
-			s := f.b.Succs[f.i]
-			f.i++
-			switch state[s] {
-			case unvisited:
-				state[s] = onStack
-				stack = append(stack, frame{s, 0})
-			case onStack:
-				backs = append(backs, backEdge{src: f.b, head: s})
-			}
-			continue
-		}
-		state[f.b] = done
-		stack = stack[:len(stack)-1]
-	}
-
-	byHead := map[*Block]*Loop{}
-	var heads []*Block
-	for _, be := range backs {
-		lp := byHead[be.head]
-		if lp == nil {
-			lp = &Loop{Head: be.head, Blocks: map[*Block]bool{be.head: true}}
-			byHead[be.head] = lp
-			heads = append(heads, be.head)
-		}
-		if lp.Blocks[be.src] {
-			continue
-		}
-		lp.Blocks[be.src] = true
-		work := []*Block{be.src}
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, p := range preds[b] {
-				// Only DFS-visited predecessors: an unreachable block with a
-				// stray edge into the loop is not part of any executed path.
-				if state[p] != unvisited && !lp.Blocks[p] {
-					lp.Blocks[p] = true
-					work = append(work, p)
-				}
-			}
-		}
-	}
-	loops := make([]Loop, 0, len(heads))
-	for _, h := range heads {
-		loops = append(loops, *byHead[h])
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Head.Index < loops[j].Head.Index })
-	return loops
-}
-
-// Reachable returns the set of blocks reachable from Entry. Dataflow
-// reporting passes skip unreachable blocks (dead code after return).
-func (c *CFG) Reachable() map[*Block]bool {
-	seen := map[*Block]bool{c.Entry: true}
-	stack := []*Block{c.Entry}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range blk.Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
 }
 
 // Dump renders the CFG compactly for tests and debugging: one line per

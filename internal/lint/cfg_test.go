@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -208,13 +206,30 @@ func TestCFGStructure(t *testing.T) {
 	}
 }
 
+// reachable returns the set of blocks reachable from Entry.
+func reachable(c *CFG) map[*Block]bool {
+	seen := map[*Block]bool{c.Entry: true}
+	stack := []*Block{c.Entry}
+	for len(stack) > 0 {
+		blk := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range blk.Succs {
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
+}
+
 // TestCFGLabeledBreakUnreachableInnerAfter pins the quirk documented in the
 // labeled-break case: the inner loop's after-block is built (wired to the
 // outer loop's continue target) but unreachable.
 func TestCFGLabeledBreakUnreachableInnerAfter(t *testing.T) {
 	body, _ := parseBody(t, "outer:\nfor {\nfor {\nbreak outer\n}\n}")
 	cfg := BuildCFG(body)
-	reach := cfg.Reachable()
+	reach := reachable(cfg)
 	var unreachable []int
 	for _, blk := range cfg.Blocks {
 		if !reach[blk] && len(blk.Succs) > 0 {
@@ -408,125 +423,4 @@ func FuzzCFG(f *testing.F) {
 			Transfer: func(b *Block, f bool) bool { return f || len(b.Nodes) > 3 },
 		})
 	})
-}
-
-// loopCalls renders each natural loop as the sorted set of function names
-// called from its body blocks, in header order. Range heads are skipped
-// whole — exactly as the alloclint walk skips them — because their clause
-// expressions run once per loop entry, not per iteration.
-func loopCalls(c *CFG) [][]string {
-	var out [][]string
-	for _, lp := range c.NaturalLoops() {
-		seen := map[string]bool{}
-		for blk := range lp.Blocks {
-			for _, n := range blk.Nodes {
-				if _, ok := n.(*ast.RangeStmt); ok {
-					continue
-				}
-				ast.Inspect(n, func(nd ast.Node) bool {
-					if call, ok := nd.(*ast.CallExpr); ok {
-						if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-							seen[id.Name] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-		names := make([]string, 0, len(seen))
-		for n := range seen {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		out = append(out, names)
-	}
-	return out
-}
-
-// TestNaturalLoops pins back-edge detection and loop-body membership for
-// every loop shape the alloclint analyzer depends on. Membership is
-// asserted by which calls land inside each loop: early-exit arms (return,
-// continue to an outer label) must stay outside, because allocations there
-// run at most once, not per iteration.
-func TestNaturalLoops(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want [][]string // per loop (header order): sorted call names inside
-	}{
-		{
-			name: "no loop",
-			src:  "a()\nif c() {\n\tb()\n}",
-			want: nil,
-		},
-		{
-			name: "three-clause for",
-			src:  "for i := 0; i < 10; i++ {\n\ta()\n}\nb()",
-			want: [][]string{{"a"}},
-		},
-		{
-			name: "while-style for with call condition",
-			src:  "for c() {\n\ta()\n}\nb()",
-			want: [][]string{{"a", "c"}},
-		},
-		{
-			name: "for-range",
-			src:  "for range xs {\n\ta()\n}\nb()",
-			want: [][]string{{"a"}},
-		},
-		{
-			name: "range head clause runs per entry not per iteration",
-			src:  "for _, x := range f() {\n\ta(x)\n}",
-			want: [][]string{{"a"}},
-		},
-		{
-			name: "sequential loops",
-			src:  "for range xs {\n\ta()\n}\nfor range xs {\n\tb()\n}",
-			want: [][]string{{"a"}, {"b"}},
-		},
-		{
-			name: "nested loops",
-			src:  "for range xs {\n\ta()\n\tfor range ys {\n\t\tb()\n\t}\n}",
-			want: [][]string{{"a", "b"}, {"b"}},
-		},
-		{
-			name: "continue merges into one loop",
-			src:  "for i := 0; i < 10; i++ {\n\tif c() {\n\t\tcontinue\n\t}\n\ta()\n}",
-			want: [][]string{{"a", "c"}},
-		},
-		{
-			name: "labeled continue exits the inner loop",
-			src:  "outer:\nfor i := 0; i < 10; i++ {\n\tfor j := 0; j < 10; j++ {\n\t\tif c() {\n\t\t\td()\n\t\t\tcontinue outer\n\t\t}\n\t\ta()\n\t}\n}",
-			want: [][]string{{"a", "c", "d"}, {"a", "c"}},
-		},
-		{
-			name: "goto-formed loop",
-			src:  "i := 0\nloop:\na()\ni++\nif i < 10 {\n\tgoto loop\n}\nb()",
-			want: [][]string{{"a"}},
-		},
-		{
-			name: "return arm is outside the loop",
-			src:  "for range xs {\n\tif c() {\n\t\te()\n\t\treturn\n\t}\n\ta()\n}",
-			want: [][]string{{"a", "c"}},
-		},
-		{
-			name: "select in loop keeps looping arms only",
-			src:  "for {\n\tselect {\n\tcase <-ch1:\n\t\ta()\n\tcase <-ch2:\n\t\tb()\n\t\treturn\n\t}\n\tc()\n}",
-			want: [][]string{{"a", "c"}},
-		},
-		{
-			name: "labeled break arm is outside the loop",
-			src:  "outer:\nfor range xs {\n\tfor range ys {\n\t\tif c() {\n\t\t\te()\n\t\t\tbreak outer\n\t\t}\n\t\ta()\n\t}\n}",
-			want: [][]string{{"a", "c"}, {"a", "c"}},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			body, _ := parseBody(t, tc.src)
-			got := loopCalls(BuildCFG(body))
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("loops = %v, want %v\nsrc:\n%s", got, tc.want, tc.src)
-			}
-		})
-	}
 }

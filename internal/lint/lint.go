@@ -3,8 +3,8 @@
 // golang.org/x/tools. It loads packages via `go list -export` (see load.go)
 // and runs a fixed set of analyzers that encode repository-wide invariants
 // the Go compiler cannot check: SQL/schema consistency, error-handling and
-// logging discipline, metric exposition hygiene, and mutex guard
-// annotations. The cmd/igdblint binary is a thin CLI over this package.
+// logging discipline, lock and goroutine discipline, and snapshot
+// immutability. The cmd/igdblint binary is a thin CLI over this package.
 package lint
 
 import (
@@ -14,12 +14,8 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Finding is one diagnostic: a position, the rule that fired, and a
@@ -75,42 +71,16 @@ type Analyzer struct {
 	Finish func(report func(pos token.Position, format string, args ...any))
 }
 
-// AnalyzerStat is one analyzer's cost and yield for a whole run, surfaced
-// by igdblint -bench and scripts/lint.sh into artifacts/lint.json.
-type AnalyzerStat struct {
-	Name     string  `json:"name"`
-	WallMs   float64 `json:"wall_ms"`
-	Findings int     `json:"findings"`
-}
-
 // Linter runs a set of analyzers over loaded packages and collects
 // findings, applying //lint:ignore suppressions.
 type Linter struct {
 	Analyzers []*Analyzer
-	// Workers is the package-phase worker count; 0 means runtime.NumCPU().
-	// Findings are byte-identical regardless of the value.
-	Workers int
 
 	findings   []Finding
 	suppressed map[suppressKey]*directive
-	stats      []AnalyzerStat
 	graph      *CallGraph
 	fset       *token.FileSet
-	wall       time.Duration
-
-	// mu guards findings and directive used-flags while package passes run
-	// concurrently.
-	mu sync.Mutex
 }
-
-// Stats returns per-analyzer wall time and finding counts for the last
-// Run, in analyzer registration order. Under a parallel run an analyzer's
-// WallMs is its summed per-package CPU time, so the column stays
-// comparable across worker counts; TotalWallMs is the elapsed wall clock.
-func (l *Linter) Stats() []AnalyzerStat { return l.stats }
-
-// TotalWallMs returns the elapsed wall-clock time of the last Run.
-func (l *Linter) TotalWallMs() float64 { return float64(l.wall.Microseconds()) / 1000 }
 
 // Graph returns the call graph built by the last Run (for tests and
 // tooling).
@@ -136,7 +106,6 @@ func NewLinter() *Linter {
 		newSQLCheck(),
 		newErrDrop(),
 		newLogDiscipline(),
-		newMetricLint(),
 		newGuardedBy(),
 		newLockOrder(),
 		newLeakCheck(),
@@ -144,7 +113,6 @@ func NewLinter() *Linter {
 		l.newCallGraphCheck(),
 		l.newSnapshotSafe(),
 		l.newContextCheck(),
-		l.newAllocLint(),
 		// directive must stay last: its Finish sees which suppressions the
 		// other analyzers' findings actually used.
 		l.newDirectiveCheck(),
@@ -188,83 +156,37 @@ func (l *Linter) newDirectiveCheck() *Analyzer {
 // Run lints every package and returns the surviving findings in
 // deterministic order (file, line, column, rule, message).
 //
-// The run has four phases. Directives are scanned sequentially, the call
-// graph is built once over every package, then the per-package analyzer
-// passes execute on a worker pool: packages are dispatched in dependency
-// order (a package only after its in-set imports), ties broken by import
-// path, so cross-package analyzer state accretes in a stable order.
-// Finally the Finish hooks run — concurrently for independent analyzers,
-// with directive strictly last so it observes which suppressions were
-// used. Findings are reported under a lock and sorted at the end, so
-// output is byte-identical for any worker count.
+// Directives are scanned and the call graph is built once over every
+// package. Then each package, in load order (Load lists dependencies
+// before their dependents), goes through every analyzer's per-package
+// pass. The Finish hooks run last, in registration order, so directive's
+// hook sees which suppressions the other analyzers used.
 func (l *Linter) Run(pkgs []*Package, fset *token.FileSet) []Finding {
-	runStart := time.Now()
 	l.fset = fset
 	for _, pkg := range pkgs {
 		l.scanDirectives(pkg, fset)
 	}
-
-	elapsed := make([]atomic.Int64, len(l.Analyzers))
-	graphStart := time.Now()
 	l.graph = BuildCallGraph(pkgs, fset)
-	for i, a := range l.Analyzers {
-		if a.Name == "callgraph" {
-			elapsed[i].Add(int64(time.Since(graphStart)))
-		}
-	}
-
-	workers := l.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	l.runPasses(pkgs, fset, workers, elapsed)
-
-	// Finish hooks: every analyzer but directive is independent once the
-	// package phase is done, so they may run concurrently; reporting is
-	// locked and the final sort restores determinism.
-	var wg sync.WaitGroup
-	for i, a := range l.Analyzers {
-		if a.Finish == nil || a.Name == "directive" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, a *Analyzer) {
-			defer wg.Done()
-			start := time.Now()
-			a.Finish(func(pos token.Position, format string, args ...any) {
-				l.report(pos, a.Name, fmt.Sprintf(format, args...))
+	for _, pkg := range pkgs {
+		for _, a := range l.Analyzers {
+			a.Run(&Pass{
+				Fset:       fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Types,
+				Info:       pkg.Info,
+				ImportPath: pkg.ImportPath,
+				Graph:      l.graph,
+				linter:     l,
+				rule:       a.Name,
 			})
-			elapsed[i].Add(int64(time.Since(start)))
-		}(i, a)
+		}
 	}
-	wg.Wait()
-	for i, a := range l.Analyzers {
-		if a.Finish == nil || a.Name != "directive" {
+	for _, a := range l.Analyzers {
+		if a.Finish == nil {
 			continue
 		}
-		start := time.Now()
 		a.Finish(func(pos token.Position, format string, args ...any) {
 			l.report(pos, a.Name, fmt.Sprintf(format, args...))
-		})
-		elapsed[i].Add(int64(time.Since(start)))
-	}
-
-	counts := map[string]int{}
-	for _, f := range l.findings {
-		counts[f.Rule]++
-	}
-	l.stats = l.stats[:0]
-	for i, a := range l.Analyzers {
-		l.stats = append(l.stats, AnalyzerStat{
-			Name:     a.Name,
-			WallMs:   float64(time.Duration(elapsed[i].Load()).Microseconds()) / 1000,
-			Findings: counts[a.Name],
 		})
 	}
 	sort.Slice(l.findings, func(i, j int) bool {
@@ -283,111 +205,10 @@ func (l *Linter) Run(pkgs []*Package, fset *token.FileSet) []Finding {
 		}
 		return a.Message < b.Message
 	})
-	l.wall = time.Since(runStart)
 	return l.findings
 }
 
-// runPasses executes every analyzer's Run over every package on a pool of
-// workers. Dispatch respects the import DAG restricted to the loaded set:
-// a package becomes ready only when all its loaded imports have been
-// analyzed; the ready queue is kept sorted by import path so dispatch
-// order (though not completion order) is deterministic.
-func (l *Linter) runPasses(pkgs []*Package, fset *token.FileSet, workers int, elapsed []atomic.Int64) {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	waiting := make(map[*Package]int, len(pkgs))
-	dependents := make(map[*Package][]*Package, len(pkgs))
-	for _, p := range pkgs {
-		if p.Types == nil {
-			continue
-		}
-		for _, imp := range p.Types.Imports() {
-			if d, ok := byPath[imp.Path()]; ok && d != p {
-				waiting[p]++
-				dependents[d] = append(dependents[d], p)
-			}
-		}
-	}
-
-	var (
-		mu    sync.Mutex
-		cond  = sync.NewCond(&mu)
-		ready []*Package
-		done  int
-	)
-	insert := func(p *Package) {
-		i := sort.Search(len(ready), func(i int) bool { return ready[i].ImportPath > p.ImportPath })
-		ready = append(ready, nil)
-		copy(ready[i+1:], ready[i:])
-		ready[i] = p
-	}
-	for _, p := range pkgs {
-		if waiting[p] == 0 {
-			insert(p)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && done < len(pkgs) {
-					cond.Wait()
-				}
-				if len(ready) == 0 {
-					mu.Unlock()
-					return
-				}
-				p := ready[0]
-				ready = ready[1:]
-				mu.Unlock()
-
-				l.analyzePackage(p, fset, elapsed)
-
-				mu.Lock()
-				done++
-				for _, dep := range dependents[p] {
-					waiting[dep]--
-					if waiting[dep] == 0 {
-						insert(dep)
-					}
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// analyzePackage runs every analyzer's per-package pass over one package,
-// charging elapsed time to the analyzer.
-func (l *Linter) analyzePackage(pkg *Package, fset *token.FileSet, elapsed []atomic.Int64) {
-	for i, a := range l.Analyzers {
-		pass := &Pass{
-			Fset:       fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			ImportPath: pkg.ImportPath,
-			Graph:      l.graph,
-			linter:     l,
-			rule:       a.Name,
-		}
-		start := time.Now()
-		a.Run(pass)
-		elapsed[i].Add(int64(time.Since(start)))
-	}
-}
-
 func (l *Linter) report(pos token.Position, rule, msg string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if d, ok := l.suppressed[suppressKey{pos.Filename, pos.Line, rule}]; ok {
 		d.used = true
 		return

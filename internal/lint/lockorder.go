@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // lockKey identifies one mutex within a function: the root variable object
@@ -55,18 +54,14 @@ type lockEdge struct{ from, to string }
 // where the second was acquired.
 type lockEdgeSite struct{ fromPos, toPos token.Position }
 
-// lockEdgeSet is the cross-package acquisition graph. Packages are
-// analyzed concurrently, so recording locks, and each edge keeps its
+// lockEdgeSet is the cross-package acquisition graph. Each edge keeps its
 // minimum-position witness site — not the first seen — so the reported
-// sites are identical for any worker count or completion order.
+// sites do not depend on the order packages are analyzed in.
 type lockEdgeSet struct {
-	mu sync.Mutex
-	m  map[lockEdge]lockEdgeSite
+	m map[lockEdge]lockEdgeSite
 }
 
 func (s *lockEdgeSet) record(e lockEdge, site lockEdgeSite) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	old, seen := s.m[e]
 	if !seen || lockSiteLess(site, old) {
 		s.m[e] = site
@@ -126,7 +121,7 @@ func newLockOrder() *Analyzer {
 // FuncDecl bodies and each FuncLit body as its own unit (CFGs do not
 // descend into literals). Cross-function state — the lock-acquisition
 // graph — canonicalizes its edge sites to the minimum position, so
-// results do not depend on this order or on the driver's worker count.
+// results do not depend on this order.
 func funcBodies(f *ast.File) []*ast.BlockStmt {
 	var bodies []*ast.BlockStmt
 	ast.Inspect(f, func(n ast.Node) bool {

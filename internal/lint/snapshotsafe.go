@@ -46,13 +46,11 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // snapAnnotations is the per-run annotation harvest, filled by the
-// per-package passes under a lock.
+// per-package passes.
 type snapAnnotations struct {
-	mu     sync.Mutex
 	roots  []*types.TypeName
 	stops  map[*types.Var]bool
 	preMut map[*types.Func]bool
@@ -146,8 +144,6 @@ func (ann *snapAnnotations) collect(pass *Pass) {
 	if len(roots) == 0 && len(stops) == 0 && len(preMut) == 0 {
 		return
 	}
-	ann.mu.Lock()
-	defer ann.mu.Unlock()
 	ann.roots = append(ann.roots, roots...)
 	for v := range stops {
 		ann.stops[v] = true

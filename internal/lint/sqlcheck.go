@@ -4,9 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
-	"sort"
 	"strings"
-	"sync"
 
 	"igdb/internal/core"
 	"igdb/internal/reldb"
@@ -113,7 +111,6 @@ func newSQLCheck() *Analyzer {
 		stmt reldb.Statement
 	}
 	var (
-		mu         sync.Mutex
 		stmts      []parsed
 		parseFails []SQLUse
 	)
@@ -122,38 +119,16 @@ func newSQLCheck() *Analyzer {
 		Doc:  "SQL literals must parse and match the canonical core schema (tables and columns)",
 	}
 	a.Run = func(pass *Pass) {
-		uses := harvestForPass(pass)
-		// Parse outside the lock; packages run concurrently.
-		var okStmts []parsed
-		var fails []SQLUse
-		for _, use := range uses {
+		for _, use := range harvestForPass(pass) {
 			st, err := reldb.ParseStatement(use.SQL)
 			if err != nil {
-				fails = append(fails, SQLUse{Pos: use.Pos, SQL: err.Error()})
+				parseFails = append(parseFails, SQLUse{Pos: use.Pos, SQL: err.Error()})
 				continue
 			}
-			okStmts = append(okStmts, parsed{pos: use.Pos, sql: use.SQL, stmt: st})
+			stmts = append(stmts, parsed{pos: use.Pos, sql: use.SQL, stmt: st})
 		}
-		mu.Lock()
-		stmts = append(stmts, okStmts...)
-		parseFails = append(parseFails, fails...)
-		mu.Unlock()
 	}
 	a.Finish = func(report func(pos token.Position, format string, args ...any)) {
-		// Packages complete in arbitrary order under the parallel driver;
-		// sort the harvest by position so validation (and any schema
-		// additions from harvested CREATE TABLEs) is order-independent.
-		posLess := func(a, b token.Position) bool {
-			if a.Filename != b.Filename {
-				return a.Filename < b.Filename
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return a.Column < b.Column
-		}
-		sort.Slice(stmts, func(i, j int) bool { return posLess(stmts[i].pos, stmts[j].pos) })
-		sort.Slice(parseFails, func(i, j int) bool { return posLess(parseFails[i].Pos, parseFails[j].Pos) })
 		for _, pf := range parseFails {
 			report(pf.Pos, "parse error: %s", pf.SQL)
 		}

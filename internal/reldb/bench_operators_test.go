@@ -8,8 +8,8 @@ import (
 // benchOpDB builds worldgen-scale synthetic tables: facts (one row per
 // AS-presence observation) and dim (one row per AS), the shape the iGDB
 // standardization joins take.
-func benchOpDB(b *testing.B, factRows, dimRows int) *DB {
-	b.Helper()
+func benchOpDB(tb testing.TB, factRows, dimRows int) *DB {
+	tb.Helper()
 	db := New()
 	db.MustExec(`CREATE TABLE facts (asn INTEGER, country TEXT, metro TEXT, v REAL)`)
 	db.MustExec(`CREATE TABLE dim (asn INTEGER, org TEXT)`)
@@ -24,40 +24,76 @@ func benchOpDB(b *testing.B, factRows, dimRows int) *DB {
 		})
 	}
 	if err := db.BulkInsert("facts", facts); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dims := make([][]Value, 0, dimRows)
 	for i := 0; i < dimRows; i++ {
 		dims = append(dims, []Value{Int(int64(i)), Text(fmt.Sprintf("ORG%d", i))})
 	}
 	if err := db.BulkInsert("dim", dims); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db
+}
+
+// operatorCase isolates one plan operator over the benchOpDB tables.
+type operatorCase struct {
+	name string
+	db   *DB
+	sql  string
+	rows int // input rows the measured operator consumes per execution
+	// maxAllocs is the per-execution allocation budget: the count measured
+	// on amd64 plus a margin far below one allocation per input row, so a
+	// new per-row allocation anywhere in the executor fails it.
+	maxAllocs float64
+}
+
+// operatorCases are the BenchmarkOperators queries with their budgets.
+func operatorCases(tb testing.TB) []operatorCase {
+	const factRows, dimRows = 20000, 2000
+	db := benchOpDB(tb, factRows, dimRows)
+	small := benchOpDB(tb, 200, 200)
+	return []operatorCase{
+		{"Scan", db, `SELECT asn FROM facts`, factRows, 40},
+		{"Filter", db, `SELECT asn FROM facts WHERE v < 0.1 AND country != 'C0'`, factRows, 60},
+		{"HashJoin", db, `SELECT f.asn FROM facts f JOIN dim d ON d.asn = f.asn`, factRows, 24200},
+		{"NestedLoopJoin", small, `SELECT f.asn FROM facts f JOIN dim d ON d.asn < f.asn LIMIT 100000`, 200 * 200, 40200},
+		{"Group", db, `SELECT country, COUNT(*), AVG(v) FROM facts GROUP BY country`, factRows, 600},
+		{"Sort", db, `SELECT asn FROM facts ORDER BY v DESC`, factRows, 40},
+	}
+}
+
+// TestOperatorAllocBudgets holds each BenchmarkOperators query, plus one
+// DISTINCT, to its allocation budget. Measured counts: Scan 14, Filter 26
+// (1,940 output rows), HashJoin 24,055 (one joined row per output row),
+// NestedLoopJoin 40,044, Group 512, Sort 17, Distinct 126; -race adds at
+// most a few.
+func TestOperatorAllocBudgets(t *testing.T) {
+	cases := operatorCases(t)
+	cases = append(cases, operatorCase{"Distinct", cases[0].db, `SELECT DISTINCT country FROM facts`, 20000, 200})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stmt, err := c.db.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := stmt.Query(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > c.maxAllocs {
+				t.Errorf("%.0f allocations per query over %d input rows; budget %.0f", allocs, c.rows, c.maxAllocs)
+			}
+		})
+	}
 }
 
 // BenchmarkOperators tracks per-operator executor throughput for
 // BENCH_reldb.json: each sub-benchmark isolates one plan operator over the
 // worldgen-scale tables and reports input rows/s alongside ns/op.
 func BenchmarkOperators(b *testing.B) {
-	const factRows, dimRows = 20000, 2000
-	db := benchOpDB(b, factRows, dimRows)
-	small := benchOpDB(b, 200, 200)
-
-	cases := []struct {
-		name string
-		db   *DB
-		sql  string
-		rows int // input rows the measured operator consumes per execution
-	}{
-		{"Scan", db, `SELECT asn FROM facts`, factRows},
-		{"Filter", db, `SELECT asn FROM facts WHERE v < 0.1 AND country != 'C0'`, factRows},
-		{"HashJoin", db, `SELECT f.asn FROM facts f JOIN dim d ON d.asn = f.asn`, factRows},
-		{"NestedLoopJoin", small, `SELECT f.asn FROM facts f JOIN dim d ON d.asn < f.asn LIMIT 100000`, 200 * 200},
-		{"Group", db, `SELECT country, COUNT(*), AVG(v) FROM facts GROUP BY country`, factRows},
-		{"Sort", db, `SELECT asn FROM facts ORDER BY v DESC`, factRows},
-	}
-	for _, c := range cases {
+	for _, c := range operatorCases(b) {
 		b.Run(c.name, func(b *testing.B) {
 			stmt, err := c.db.Prepare(c.sql)
 			if err != nil {

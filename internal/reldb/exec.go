@@ -16,8 +16,6 @@ type schema struct {
 
 func newSchema() *schema { return &schema{} }
 
-// perf: allocates intentionally — schema construction runs once per table
-// per query, not per row.
 func (s *schema) addTable(label string, t *Table) {
 	for _, c := range t.Cols {
 		s.labels = append(s.labels, strings.ToLower(label))
@@ -348,7 +346,6 @@ func (e *evalEnv) evalAggregate(n *Call) (Value, error) {
 		}
 		if n.Distinct {
 			if seen == nil {
-				//lint:ignore alloclint the DISTINCT set is allocated at most once per aggregate call (guarded by seen == nil), not per row
 				seen = make(map[string]bool, len(e.group))
 			}
 			kbuf = v.appendKey(kbuf[:0])
@@ -435,7 +432,6 @@ func (db *DB) execSelectPlan(s *SelectStmt, pl *selectPlan) (*Rows, error) {
 		copy(rows, base.Rows)
 		prb.done(len(base.Rows), len(rows), 1)
 		for i, j := range s.Joins {
-			//lint:ignore alloclint one name fold per JOIN clause, not per data row
 			joinName := strings.ToLower(j.Table.Name)
 			//lint:ignore guardedby callers (Query, Stmt.Query) hold db.mu
 			jt, ok := db.tables[joinName]
@@ -445,7 +441,6 @@ func (db *DB) execSelectPlan(s *SelectStmt, pl *selectPlan) (*Rows, error) {
 			in := len(rows)
 			prb := pl.probeJoin(i)
 			var err error
-			//lint:ignore alloclint join allocates the joined row set once per JOIN clause, not per data row
 			rows, err = db.join(sch, rows, j, jt, pl.joinProbeAt(i))
 			if err != nil {
 				return nil, err
@@ -695,8 +690,6 @@ func groupRows(db *DB, sch *schema, rows [][]Value, by []Expr) ([]group, error) 
 	return out, nil
 }
 
-// perf: allocates intentionally — expands the select list once per query,
-// not per row.
 func expandStars(items []SelectItem, sch *schema) ([]SelectItem, error) {
 	var out []SelectItem
 	for _, it := range items {
@@ -769,8 +762,6 @@ func (db *DB) join(sch *schema, left [][]Value, j JoinClause, jt *Table, jp *joi
 	newSch.addTable(j.Table.label(), jt)
 
 	leftWidth := len(sch.names)
-	// perf: allocates intentionally — each combined row it builds is a
-	// retained output row; there is nothing to hoist.
 	combine := func(l []Value, r []Value) []Value {
 		row := make([]Value, 0, leftWidth+len(jt.Cols))
 		row = append(row, l...)
@@ -858,9 +849,6 @@ func (db *DB) join(sch *schema, left [][]Value, j JoinClause, jt *Table, jp *joi
 	return out, nil
 }
 
-// perf: allocates intentionally — ON-clause analysis runs once per JOIN
-// clause at plan time, not per row.
-//
 // equiJoinPair finds `leftCols = rightCols` inside the ON expression (either
 // at the top level or as a conjunct of an AND chain) where the left side
 // only references existing tables and the right side only references the

@@ -55,9 +55,6 @@ func (n *PlanNode) Text() []string {
 // Rows renders the plan tree as a single-column result set, so EXPLAIN
 // output flows through every surface that already speaks *Rows (the SQL
 // HTTP endpoint, igdb sql, the codec).
-//
-// perf: allocates intentionally — rendering builds the retained result
-// set; one row and one text line per plan node.
 func (n *PlanNode) Rows() *Rows {
 	lines := n.Text()
 	out := &Rows{Columns: []string{"plan"}}
@@ -380,9 +377,6 @@ func scanNode(label string, t *Table) *PlanNode {
 // explainLocked plans ex.Stmt and, for EXPLAIN ANALYZE of a SELECT,
 // executes it with per-operator probes attached. Callers hold db.mu for
 // reading — ANALYZE therefore only supports read-only statements.
-//
-// perf: allocates intentionally — planning builds a fresh plan tree per
-// EXPLAIN; it is the diagnostic path, not the per-row execution path.
 func (db *DB) explainLocked(ex *ExplainStmt) (*PlanNode, error) {
 	switch inner := ex.Stmt.(type) {
 	case *SelectStmt:

@@ -191,9 +191,6 @@ type parser struct {
 }
 
 // ParseStatement parses a single SQL statement.
-//
-// perf: allocates intentionally — parsing builds an AST; hot callers cache
-// the result behind Prepare/plan caches instead of re-parsing.
 func ParseStatement(sql string) (Statement, error) {
 	toks, err := lex(sql)
 	if err != nil {

@@ -82,9 +82,6 @@ func (s *Stmt) Explain() (*PlanNode, error) {
 // plan is shared and never mutated by execution, so concurrent Query calls
 // on one Stmt are safe. EXPLAIN statements yield the plan tree as
 // single-column text rows.
-//
-// perf: hot path — every SQL request the server takes executes here;
-// alloclint proves the executor pipeline under it allocation-disciplined.
 func (s *Stmt) Query() (*Rows, error) {
 	if s.closed.Load() {
 		return nil, ErrStmtClosed

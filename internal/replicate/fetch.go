@@ -44,7 +44,8 @@ type Fetcher struct {
 	MaxBackoff time.Duration
 	// Seed drives backoff jitter, so tests are reproducible.
 	Seed int64
-	// Sleep replaces time.Sleep between attempts (tests).
+	// Sleep replaces the backoff wait between attempts (tests). When nil
+	// the wait ends early if the fetch's context is cancelled.
 	Sleep func(time.Duration)
 	// Logger receives structured retry records; nil is silent.
 	Logger *obs.Logger
@@ -185,10 +186,6 @@ func sameShape(t *reldb.Table, dec *reldb.DecodedTable) bool {
 // also reports how many retries were spent.
 func (f *Fetcher) fetchChunk(ctx context.Context, ref ChunkRef) ([]byte, int, error) {
 	rng := rand.New(rand.NewSource(f.Seed ^ int64(len(ref.SHA256))*31 ^ int64(ref.Bytes)))
-	sleep := f.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	attempts := f.attempts()
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
@@ -209,7 +206,11 @@ func (f *Fetcher) fetchChunk(ctx context.Context, ref ChunkRef) ([]byte, int, er
 		f.Logger.Warn("chunk fetch failed, retrying",
 			obs.F("chunk", ref.Name), obs.F("attempt", attempt),
 			obs.F("backoff", delay), obs.F("err", err))
-		sleep(delay)
+		if f.Sleep != nil {
+			f.Sleep(delay)
+		} else if err := ingest.SleepContext(ctx, delay); err != nil {
+			return nil, attempt - 1, fmt.Errorf("replicate: chunk %s (%s): backoff interrupted: %w", ref.Name, ref.SHA256[:12], err)
+		}
 	}
 	return nil, attempts - 1, fmt.Errorf("replicate: chunk %s (%s): %w", ref.Name, ref.SHA256[:12], lastErr)
 }

@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -333,5 +334,48 @@ func TestFetchRejectsWrongRowCount(t *testing.T) {
 	}
 	if _, err := f.Fetch(context.Background(), m); err == nil {
 		t.Fatal("row-count drift accepted")
+	}
+}
+
+// TestFetchChunkObservesCancel: with no Sleep hook, cancelling the fetch's
+// context must end it promptly with the context error, both while it waits
+// out a long retry backoff after a 503 and while a request hangs.
+func TestFetchChunkObservesCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		handler func(release <-chan struct{}) http.HandlerFunc
+	}{
+		{"backoff", func(<-chan struct{}) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+		}},
+		{"request", func(release <-chan struct{}) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			srv := httptest.NewServer(tc.handler(release))
+			t.Cleanup(srv.Close)
+			t.Cleanup(func() { close(release) })
+			f := &Fetcher{LeaderURL: srv.URL, MaxAttempts: 3, BaseBackoff: 20 * time.Second, MaxBackoff: 20 * time.Second}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(50*time.Millisecond, cancel)
+			start := time.Now()
+			_, _, err := f.fetchChunk(ctx, ChunkRef{Name: "facts", SHA256: strings.Repeat("ab", 32)})
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("fetchChunk returned %v after the cancel; want prompt", elapsed)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }

@@ -112,8 +112,6 @@ func attachPlanSpans(parent *obs.Span, n *reldb.PlanNode, start time.Time) {
 // ANALYZE) against the current snapshot, with plan and result caching.
 // DDL/DML is refused with 403 before touching the database. Every request
 // contributes a sample to the per-fingerprint statement statistics.
-//
-// perf: hot path
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	sp := obs.StartTrace("sql")

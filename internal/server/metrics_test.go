@@ -10,6 +10,9 @@ import (
 var sampleLineRe = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z0-9_]+="[^"]*"(,[a-zA-Z0-9_]+="[^"]*")*\})? (-?[0-9.]+(e[+-][0-9]+)?|\+Inf|NaN)$`)
 
+// metricNameRe is the project's metric naming rule.
+var metricNameRe = regexp.MustCompile(`^igdb_[a-z][a-z0-9_]*$`)
+
 // metricBase strips histogram sample suffixes so _bucket/_sum/_count series
 // resolve to their declared family name.
 func metricBase(name string, histograms map[string]bool) string {
@@ -23,7 +26,8 @@ func metricBase(name string, histograms map[string]bool) string {
 
 // TestMetricsExposition lints the /metrics output: every exposed metric has
 // exactly one HELP and one TYPE line, TYPE precedes the metric's samples,
-// and every sample line is well-formed Prometheus text format.
+// every sample line is well-formed Prometheus text format, and every name
+// matches igdb_[a-z][a-z0-9_]*.
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -94,6 +98,9 @@ func TestMetricsExposition(t *testing.T) {
 	for name := range typeCount {
 		if helpCount[name] != 1 {
 			t.Errorf("metric %s has TYPE but %d HELP lines", name, helpCount[name])
+		}
+		if !metricNameRe.MatchString(name) {
+			t.Errorf("metric %s does not match igdb_[a-z][a-z0-9_]*", name)
 		}
 	}
 	for name := range samplesSeen {

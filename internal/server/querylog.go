@@ -35,9 +35,6 @@ type TraceSpan struct {
 }
 
 // traceFromSpan flattens a finished span tree into TraceSpan rows.
-//
-// perf: allocates intentionally — builds the retained trace payload, one
-// attrs map per span that carries attributes.
 func traceFromSpan(sp *obs.Span) []TraceSpan {
 	infos := sp.Flatten()
 	if len(infos) == 0 {

@@ -178,6 +178,75 @@ func TestConcurrentSQL(t *testing.T) {
 	}
 }
 
+// TestConcurrentRoutes drives each route in turn from 8 goroutines against
+// one leader, so -race sees any write a handler makes to the shared
+// snapshot or server state. TestConcurrentSQL covers only /sql; without
+// this test a post-publish write on any other route passes the suite.
+func TestConcurrentRoutes(t *testing.T) {
+	s := newTestServer(t, Config{Leader: true, SlowQueryMin: -1})
+	h := s.Handler()
+	_, fp := postSQL(t, h, `SELECT asn, COUNT(DISTINCT country) FROM asn_loc GROUP BY asn ORDER BY 2 DESC LIMIT 1`)
+	_, sp := postSQL(t, h, `SELECT from_metro, from_country, to_metro, to_country FROM std_paths LIMIT 1`)
+	if len(fp.Rows) == 0 || len(sp.Rows) == 0 {
+		t.Fatal("test world has no located AS or no standard path")
+	}
+	pathQ := url.Values{
+		"src": {fmt.Sprintf("%s-%s", sp.Rows[0][0], sp.Rows[0][1])},
+		"dst": {fmt.Sprintf("%s-%s", sp.Rows[0][2], sp.Rows[0][3])},
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/replica/manifest", nil))
+	var m struct {
+		Chunks []struct {
+			SHA256 string `json:"sha256"`
+		} `json:"chunks"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || len(m.Chunks) == 0 {
+		t.Fatalf("bad manifest: %v", err)
+	}
+
+	routes := []struct{ name, method, target, body string }{
+		{"sql", "POST", "/sql", table2SQL},
+		{"explain_analyze", "POST", "/sql", "EXPLAIN ANALYZE " + table2SQL},
+		{"tables", "GET", "/tables", ""},
+		{"export", "GET", "/export/city_points", ""},
+		{"footprint", "GET", fmt.Sprintf("/footprint/%d", int(fp.Rows[0][0].(float64))), ""},
+		{"path", "GET", "/path?" + pathQ.Encode(), ""},
+		{"healthz", "GET", "/healthz", ""},
+		{"metrics", "GET", "/metrics", ""},
+		{"debug_queries", "GET", "/debug/queries", ""},
+		{"debug_statements", "GET", "/debug/statements", ""},
+		{"replica_manifest", "GET", "/replica/manifest", ""},
+		{"replica_chunk", "GET", "/replica/chunk/" + m.Chunks[0].SHA256, ""},
+	}
+	const workers, perWorker = 8, 4
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWorker; i++ {
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.target, strings.NewReader(rt.body)))
+						if rec.Code != http.StatusOK {
+							errs <- fmt.Errorf("%s %s: status %d: %.200s", rt.method, rt.target, rec.Code, rec.Body.String())
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestRebuildNeverBlocksReaders queries continuously while a rebuild swaps
 // the snapshot; every read must succeed, before and after the swap.
 func TestRebuildNeverBlocksReaders(t *testing.T) {
@@ -452,6 +521,28 @@ func TestResultCacheDisabled(t *testing.T) {
 	// Plans are still cached even without the result cache.
 	if s.Metrics().planHits.Load() == 0 {
 		t.Fatal("plan cache saw no hits")
+	}
+}
+
+// TestSQLAllocBudget holds an uncached POST /sql to its allocation budget.
+// SELECT asn FROM asn_name returns 4,156 rows in 3,938 allocations (a few
+// more under -race); one more allocation per row anywhere on the parse,
+// execute or marshal path roughly doubles that.
+func TestSQLAllocBudget(t *testing.T) {
+	h := newTestServer(t, Config{CacheSize: -1}).Handler()
+	const sql = `SELECT asn FROM asn_name`
+	if _, resp := postSQL(t, h, sql); len(resp.Rows) < 4000 {
+		t.Fatalf("%d rows; the budget assumes about 4,156", len(resp.Rows))
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/sql", strings.NewReader(sql)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	})
+	if allocs > 4050 {
+		t.Errorf("%.0f allocations per uncached POST /sql; budget 4050", allocs)
 	}
 }
 

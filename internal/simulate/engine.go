@@ -528,8 +528,6 @@ func (e *Engine) Generate(n int) []Scenario {
 // a shared atomic counter and write results by index, so the output order
 // (and content) is independent of scheduling. workers <= 0 means one per
 // available CPU.
-//
-// perf: hot path
 func (e *Engine) Run(scenarios []Scenario, workers int) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -550,7 +548,6 @@ func (e *Engine) Run(scenarios []Scenario, workers int) []Result {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:ignore alloclint one goroutine closure per pool worker at startup, not per scenario
 		go func() {
 			defer wg.Done()
 			view := graph.NewView(e.sim)
@@ -586,9 +583,6 @@ func (e *Engine) resolveHazard(h *risk.Hazard) (nodes []int, edges [][2]int) {
 // eval measures one scenario on a masked view: component structure,
 // reachability over the pair sample, inflation for survivors, and ranked
 // AS/country/metro attributions for the lost pairs.
-//
-// perf: allocates intentionally — each scenario's Result (impact sets,
-// attributions) is retained output; the masked view itself is reused.
 func (e *Engine) eval(s Scenario, v *graph.View) Result {
 	nodes, edges := s.Nodes, s.Edges
 	if s.Hazard != nil {

@@ -15,14 +15,14 @@ fi
 go vet ./...
 go build ./...
 
-# Project-aware static analysis, all thirteen analyzers: SQL/schema
-# consistency, error and logging discipline, metric hygiene, path-sensitive
-# mutex-guard checking, lock ordering (deadlock detection), goroutine
-# leaks, unclosed closers, call-graph dead code, snapshot immutability,
-# context discipline, hot-path allocation discipline (alloclint), and dead
-# suppressions. Any finding fails the gate; per-analyzer timings land in
-# artifacts/lint.json and BENCH_lint.json.
-scripts/lint.sh
+# Project-aware static analysis (igdblint -rules lists the analyzers): SQL/
+# schema consistency, error and logging discipline, path-sensitive
+# mutex-guard checking, lock ordering, goroutine leaks, unclosed closers,
+# call-graph dead code, snapshot immutability, context discipline, and dead
+# suppressions. Any finding fails the gate. Allocation discipline and
+# metric hygiene are gated at runtime instead, by the AllocsPerRun budgets
+# and TestMetricsExposition in the test runs below.
+go run ./cmd/igdblint ./...
 
 go test -race ./...
 
