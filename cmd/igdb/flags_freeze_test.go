@@ -15,19 +15,18 @@ import (
 
 // frozenFlags is every flag registration in this package's sources, sorted,
 // duplicates included (addBuildFlags registers the shared -dir/-as-of/
-// -degraded/-stale-after once; collect, simulate, and loadgen each have a
-// -seed; export and loadgen each have a -o). Scripts and docs depend on
-// these spellings, so extending igdb's CLI surface means updating this
-// list deliberately.
+// -degraded/-stale-after once; collect and simulate each have a -seed).
+// Scripts and docs depend on these spellings, so extending igdb's CLI
+// surface means updating this list deliberately.
 var frozenFlags = []string{
-	"addr", "analyze", "as-of", "as-of", "cache-size", "concurrency",
-	"continue-on-error", "corpus", "degraded", "degraded", "dir", "dir",
-	"dir", "duration", "explain", "follow", "format", "layer", "leader",
-	"log-json", "max-concurrency", "max-rows", "mix", "name", "o", "o",
+	"addr", "analyze", "as-of", "as-of", "cache-size",
+	"continue-on-error", "degraded", "degraded", "dir", "dir",
+	"dir", "explain", "follow", "format", "layer", "leader",
+	"log-json", "max-concurrency", "max-rows", "o",
 	"pairs", "pprof", "query-log", "rebuild-every", "replica-poll",
-	"retries", "scale", "scenarios", "seed", "seed", "seed",
+	"retries", "scale", "scenarios", "seed", "seed",
 	"simulate-scenarios", "simulate-seed", "slow-query", "stale-after",
-	"stale-after", "stmt-stats", "timeout", "top", "trace", "url",
+	"stale-after", "stmt-stats", "timeout", "top", "trace",
 	"workers",
 }
 

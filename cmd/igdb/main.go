@@ -16,7 +16,6 @@
 //	igdb simulate -dir DIR [-scenarios N] [-seed S] [-workers W] [-pairs P] [-top K]
 //	igdb serve   -dir DIR [-addr :8080] [-rebuild-every DUR] [-degraded] [-leader]
 //	igdb serve   -follow URL [-addr :8081] [-replica-poll DUR]
-//	igdb loadgen [-url URL] [-duration DUR] [-concurrency N] [-mix sql=8,export=1,path=1]
 //
 // -degraded builds quarantine corrupt, missing, or stale sources in the
 // source_status relation and keep going; the default is to fail loudly on
@@ -72,8 +71,6 @@ func main() {
 		err = cmdSimulate(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -101,8 +98,6 @@ commands:
   simulate  run Monte-Carlo what-if failure scenarios against the built database
   serve     serve the built database over HTTP (read-only SQL API);
             -leader replicates snapshots to followers, -follow URL consumes them
-  loadgen   replay the harvested query corpus against a running server and
-            report latency percentiles and error rates
 
 run 'igdb COMMAND -h' for command flags
 `)

@@ -412,15 +412,8 @@ func (e *Env) Figure8() Result {
 		Title:  "Figure 8: Rocketfuel AS7018 vs iGDB physical representation",
 		Header: []string{"Metric", "Value"},
 	}
-	// AT&T's logical metro edges come from its Atlas records in the DB.
-	rows := e.G.Rel.MustQuery(`SELECT DISTINCT n1.metro, n1.state_province, n2.metro, n2.state_province
-		FROM phys_nodes n1
-		JOIN phys_nodes n2 ON n1.organization = n2.organization
-		WHERE n1.organization LIKE '%ATT-INTERNET%' AND n1.metro < n2.metro`)
-	_ = rows // metro pairs from self-join are the complete graph; use std_paths instead
-
-	// Use the AT&T adjacency via the world's Rocketfuel edge list realized
-	// in the database: every pair that has an inferred standard path.
+	// AT&T's logical edges are the world's Rocketfuel link list, each end
+	// resolved to its city in the database.
 	att := e.World.ASByNumber(7018)
 	var logical [][2]int
 	if att != nil && att.ISP >= 0 {

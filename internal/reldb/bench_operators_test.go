@@ -89,9 +89,9 @@ func TestOperatorAllocBudgets(t *testing.T) {
 	}
 }
 
-// BenchmarkOperators tracks per-operator executor throughput for
-// BENCH_reldb.json: each sub-benchmark isolates one plan operator over the
-// worldgen-scale tables and reports input rows/s alongside ns/op.
+// BenchmarkOperators tracks per-operator executor throughput: each
+// sub-benchmark isolates one plan operator over the worldgen-scale tables
+// and reports input rows/s alongside ns/op.
 func BenchmarkOperators(b *testing.B) {
 	for _, c := range operatorCases(b) {
 		b.Run(c.name, func(b *testing.B) {

@@ -14,6 +14,8 @@ func FuzzParseStatement(f *testing.F) {
 	f.Add("INSERT INTO t VALUES (1, 'two')")
 	f.Add("SELECT 'unterminated")
 	f.Add("SELECT * FROM t WHERE a IN (1, 2, 3)")
+	f.Add("EXPLAIN SELECT a FROM t WHERE b = 'x' ORDER BY a")
+	f.Add("EXPLAIN ANALYZE SELECT l.asn, COUNT(*) FROM asn_loc l JOIN asn_name n ON n.asn = l.asn GROUP BY l.asn")
 	f.Add("SELECT -1.5e10, 0x, ``, \"q\"")
 	f.Add("((((")
 	f.Add(";")

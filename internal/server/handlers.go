@@ -203,8 +203,9 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 
 	// Execute off the handler goroutine so a per-request deadline can fire
 	// even though reldb execution is not context-aware. A timed-out query
-	// runs to completion in the background; the limiter slot is held by the
-	// handler, so abandoned queries cannot pile up unboundedly.
+	// runs to completion in the background, but wrap frees the limiter slot
+	// as soon as this handler returns, so abandoned executions are not
+	// bounded by MaxConcurrency: repeated timeouts can pile them up.
 	type outcome struct {
 		rows *reldb.Rows
 		plan *reldb.PlanNode

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkScenarioThroughput measures scenarios/sec over a fixed batch at
-// one worker and at one worker per available CPU; scripts/simulate.sh
-// parses both into BENCH_simulate.json to report the all-core speedup.
+// one worker and at one worker per available CPU; the ratio of the two is
+// the all-core speedup.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	g := db(b)
 	e, err := NewEngine(g, Options{Seed: 11, Pairs: 128})
