@@ -1,12 +1,15 @@
 // Command igdb-experiments regenerates every table and figure from the
 // iGDB paper's evaluation against the synthetic world, printing each
-// result with paper-vs-measured notes and writing figure artifacts
-// (SVG) to an output directory.
+// result with paper-vs-measured notes and, given -out, writing figure
+// artifacts (SVG) to that directory.
 //
 // Usage:
 //
 //	igdb-experiments [-scale small|paper] [-out DIR] [-only table1,figure7]
 //	                 [-seed N] [-md FILE]
+//
+// No figure is written without -out. The tracked figures in artifacts/ are
+// the paper-scale run's: go run ./cmd/igdb-experiments -scale paper -out artifacts
 package main
 
 import (
@@ -23,7 +26,7 @@ import (
 
 func main() {
 	scale := flag.String("scale", "small", "world scale: small (seconds) or paper (Table 1 magnitudes, ~minutes)")
-	out := flag.String("out", "artifacts", "directory for figure artifacts (empty = skip)")
+	out := flag.String("out", "", "directory for figure artifacts (empty = skip)")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default all)")
 	seed := flag.Int64("seed", 0, "world seed override (0 = config default)")
 	md := flag.String("md", "", "write a Markdown report to this file")

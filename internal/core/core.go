@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -269,7 +270,7 @@ func Build(store ingest.Reader, opts BuildOptions) (*IGDB, error) {
 		return nil, err
 	}
 	g.registerSQLFunctions()
-	sp.End()
+	endStage(sp)
 
 	staleRef := staleReference(store, opts)
 	for _, l := range loaders {
@@ -287,22 +288,34 @@ func Build(store ingest.Reader, opts BuildOptions) (*IGDB, error) {
 	if err := g.storeSourceStatus(); err != nil {
 		return nil, err
 	}
-	sp.End()
+	endStage(sp)
 	sp = root.Start("infer_standard_paths")
 	if err := g.inferStandardPaths(opts); err != nil {
 		return nil, err
 	}
 	sp.SetAttr("paths", g.Rel.Table("std_paths").Len())
-	sp.End()
+	endStage(sp)
 	sp = root.Start("path_network")
 	g.Paths = g.buildPathNetwork()
 	sp.SetAttr("edges", len(g.Paths.geoms))
-	sp.End()
+	endStage(sp)
 	root.End()
 	if err := g.storeBuildTrace(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// endStage ends a build stage's span with the heap in use at its end as
+// heap_mb (runtime/metrics' bytes in live and unswept heap objects), so
+// build_trace shows each stage's memory beside its wall time.
+func endStage(sp *obs.Span) {
+	if sp != nil {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(sample)
+		sp.SetAttr("heap_mb", math.Round(float64(sample[0].Value.Uint64())/(1<<20)*10)/10)
+	}
+	sp.End()
 }
 
 // runLoader executes one source's loader under fault isolation: the
@@ -322,7 +335,7 @@ func (g *IGDB) runLoader(store ingest.Reader, opts BuildOptions, l loaderSpec, s
 		if st.Err != "" {
 			sp.SetAttr("err", st.Err)
 		}
-		sp.End()
+		endStage(sp)
 	}()
 	snap, err := store.Latest(l.source, opts.AsOf)
 	if err != nil {

@@ -62,14 +62,14 @@ func (g *IGDB) loadCities(store ingest.Reader, opts BuildOptions) error {
 		return err
 	}
 	gaz.SetAttr("cities", len(g.Cities))
-	gaz.End()
+	endStage(gaz)
 	if opts.SkipPolygons {
 		return nil
 	}
 	// The Thiessen tessellation is the §3.1 standardization join's spatial
 	// substrate — the single heaviest sub-stage of the gazetteer load.
 	vor := g.span.Start("voronoi")
-	defer vor.End()
+	defer endStage(vor)
 	sites := make([]geo.Point, len(g.Cities))
 	for i, c := range g.Cities {
 		sites[i] = c.Loc

@@ -93,7 +93,7 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 		return err
 	}
 	sp := g.span.Start("right_of_way")
-	defer sp.End()
+	defer endStage(sp)
 	rn := &RowNetwork{
 		G:     graph.New(len(g.Cities)),
 		geoms: make(map[[2]int][]geo.Point),
@@ -134,7 +134,9 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 
 // inferStandardPaths routes every unique Atlas adjacency along the
 // right-of-way network and stores the result in std_paths. Pairs are
-// grouped by source city so one Dijkstra serves all pairs from that city.
+// grouped by source city so one Dijkstra serves all pairs from that city;
+// the sources are spread over every core, each writing its own slot, and
+// the rows are stored in source order whatever the core count.
 func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 	if g.Row == nil {
 		// Degraded build with the right-of-way layer quarantined: no
@@ -159,47 +161,33 @@ func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
 	if g.AsOf.IsZero() {
 		asOf = "latest"
 	}
-	var rows [][]reldb.Value
-	for _, src := range srcs {
+	slots := make([][][]reldb.Value, len(srcs))
+	graph.Parallel(len(srcs), g.Row.G.NewSearch, func(s *graph.Search, i int) {
+		src := srcs[i]
 		dsts := bySrc[src]
-		paths := g.Row.routesFrom(src, dsts)
-		for i, dst := range dsts {
-			if paths[i].nodes == nil {
+		for j, p := range s.ShortestPaths(src, dsts) {
+			if p.Nodes == nil {
 				continue // disconnected (e.g. across an ocean): no land path
 			}
-			geom := g.Row.concat(paths[i].nodes)
+			geom := g.Row.concat(p.Nodes)
 			if len(geom) < 2 {
 				continue
 			}
-			a, b := g.Cities[src], g.Cities[dst]
-			rows = append(rows, []reldb.Value{
+			a, b := g.Cities[src], g.Cities[dsts[j]]
+			slots[i] = append(slots[i], []reldb.Value{
 				reldb.Text(a.Name), reldb.Text(a.State), reldb.Text(a.Country),
 				reldb.Text(b.Name), reldb.Text(b.State), reldb.Text(b.Country),
-				reldb.Float(paths[i].km),
+				reldb.Float(p.Weight),
 				reldb.Text(wkt.Marshal(wkt.NewLineString(geom))),
 				reldb.Text(asOf),
 			})
 		}
+	})
+	var rows [][]reldb.Value
+	for _, s := range slots {
+		rows = append(rows, s...)
 	}
 	return g.Rel.BulkInsert("std_paths", rows)
-}
-
-type routed struct {
-	nodes []int
-	km    float64
-}
-
-// routesFrom computes routes from src to each destination, one
-// early-exiting Dijkstra per destination.
-func (rn *RowNetwork) routesFrom(src int, dsts []int) []routed {
-	out := make([]routed, len(dsts))
-	for i, dst := range dsts {
-		nodes, km, ok := rn.G.ShortestPath(src, dst)
-		if ok {
-			out[i] = routed{nodes: nodes, km: km}
-		}
-	}
-	return out
 }
 
 // PathNetwork is the graph of inferred physical paths: nodes are cities,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,32 @@ func TestBuildTraceSQLQueryable(t *testing.T) {
 		ms, ok := r[1].AsFloat()
 		if !ok || ms < 0 {
 			t.Errorf("stage %s has bad duration %v", name, r[1])
+		}
+	}
+}
+
+// TestBuildTraceHeap: every depth-1 stage, and the gazetteer, voronoi and
+// right_of_way sub-stages, records the heap in use at its end as heap_mb.
+func TestBuildTraceHeap(t *testing.T) {
+	_, g := testDB(t)
+	rows, err := g.Rel.Query(`SELECT span, depth, attrs FROM build_trace WHERE depth = 1 OR span IN ('gazetteer', 'voronoi', 'right_of_way')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(loaders) + 4 + 3; rows.Len() != want {
+		t.Fatalf("got %d stage rows, want %d", rows.Len(), want)
+	}
+	for _, r := range rows.Rows {
+		name, _ := r[0].AsText()
+		attrs, _ := r[2].AsText()
+		mb := -1.0
+		for _, kv := range strings.Fields(attrs) {
+			if v, ok := strings.CutPrefix(kv, "heap_mb="); ok {
+				mb, _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		if mb <= 0 {
+			t.Errorf("stage %s: attrs %q carry no positive heap_mb", name, attrs)
 		}
 	}
 }

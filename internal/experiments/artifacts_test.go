@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"encoding/xml"
 	"strings"
@@ -97,5 +98,25 @@ func TestDistanceCostDistribution(t *testing.T) {
 	}
 	if float64(over5)/float64(scored) > 0.2 {
 		t.Errorf("%d/%d traces with cost > 5: routing model implausible", over5, scored)
+	}
+}
+
+// TestFiguresDeterministic: rendering a figure twice on one Env writes the
+// same bytes, so a regenerated artifact can be compared with a tracked one.
+func TestFiguresDeterministic(t *testing.T) {
+	e := env(t)
+	figures := []func() Result{
+		e.Figure3, e.Figure4, e.Figure5, e.Figure6, e.Figure7, e.Figure8, e.Figure9, e.Figure10,
+	}
+	for _, fig := range figures {
+		first, second := fig(), fig()
+		if len(first.Artifacts) == 0 {
+			t.Errorf("%s: no artifacts", first.ID)
+		}
+		for name, data := range first.Artifacts {
+			if !bytes.Equal(data, second.Artifacts[name]) {
+				t.Errorf("%s/%s: two renderings differ", first.ID, name)
+			}
+		}
 	}
 }

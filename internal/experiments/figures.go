@@ -303,7 +303,12 @@ func (e *Env) Figure6() Result {
 	m := render.NewMap(geo.BBox{MinLon: -126, MinLat: 23, MaxLon: -65, MaxLat: 51}, 1200, 620)
 	m.SetTitle("Cox (green), Charter (orange), both (red)")
 	draw := func(set map[string]bool, other map[string]bool, both bool, st render.Style) {
+		keys := make([]string, 0, len(set))
 		for k := range set {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
 			if both != (other[k]) {
 				continue
 			}
@@ -460,7 +465,15 @@ func (e *Env) Figure8() Result {
 		mp.Polyline([]geo.Point{e.G.Cities[l[0]].Loc, e.G.Cities[l[1]].Loc},
 			render.Style{Stroke: "#8b5a2b", StrokeWidth: 0.8, Opacity: 0.7})
 	}
+	corridors := make([][2]int, 0, len(corridorUse))
 	for k := range corridorUse {
+		corridors = append(corridors, k)
+	}
+	sort.Slice(corridors, func(i, j int) bool {
+		a, b := corridors[i], corridors[j]
+		return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
+	})
+	for _, k := range corridors {
 		if gline, ok := e.G.Row.Geometry(k[0], k[1]); ok {
 			mp.Polyline(gline, render.Style{Stroke: "#8e44ad", StrokeWidth: 1.2})
 		}
@@ -507,8 +520,11 @@ func (e *Env) Figure9() Result {
 	// AS spatial extents: peering metros + convex hull per AS.
 	mp := render.NewMap(geo.BBox{MinLon: -12, MinLat: 34, MaxLon: 25, MaxLat: 58}, 1000, 800)
 	mp.SetTitle("Madrid→Berlin path (brown) with AS peering footprints")
-	colors := map[int]string{12008: "#c0392b", 22822: "#2980b9", 20647: "#27ae60"}
-	for asn, color := range colors {
+	for _, ac := range []struct {
+		asn   int
+		color string
+	}{{12008, "#c0392b"}, {20647, "#27ae60"}, {22822, "#2980b9"}} {
+		asn, color := ac.asn, ac.color
 		rows := e.G.Rel.MustQuery(fmt.Sprintf(
 			`SELECT DISTINCT metro, state_province, country FROM asn_loc WHERE asn = %d`, asn))
 		var pts []geo.Point

@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
-
 // View is a masked subgraph of an immutable Graph: individual nodes and
 // undirected edges can be disabled without copying the adjacency list, so
 // thousands of what-if variants of one graph can be evaluated cheaply.
@@ -25,8 +20,7 @@ type View struct {
 	rev [][]int
 
 	// Dijkstra scratch, reused across calls.
-	done []bool
-	prev []int
+	s *Search
 }
 
 // NewView creates a view of g with nothing disabled.
@@ -134,59 +128,26 @@ func (v *View) Components() (labels []int, count int) {
 // masked graph (Inf when unreachable, including every node when src itself
 // is disabled). The returned slice is freshly allocated per call.
 func (v *View) AllShortestFrom(src int) []float64 {
-	return v.dijkstra(src, -1)
+	s := v.search(src, nil)
+	return append([]float64(nil), s.dist...)
 }
 
 // ShortestPath returns the minimum-weight masked path from src to dst.
 func (v *View) ShortestPath(src, dst int) (path []int, weight float64, ok bool) {
-	dist := v.dijkstra(src, dst)
-	if dst < 0 || dst >= len(dist) || math.IsInf(dist[dst], 1) {
+	if dst < 0 || dst >= v.g.Len() {
 		return nil, 0, false
 	}
-	return reconstruct(v.prev, src, dst), dist[dst], true
+	return v.search(src, []int{dst}).path(src, dst)
 }
 
-// dijkstra is the masked variant of Graph.dijkstra, reusing the view's
-// scratch buffers (done, prev) across calls.
-func (v *View) dijkstra(src, dst int) []float64 {
-	n := v.g.Len()
-	dist := make([]float64, n)
-	if cap(v.done) < n {
-		v.done = make([]bool, n)
-		v.prev = make([]int, n)
+// search runs the masked Dijkstra on the view's reused Search.
+func (v *View) search(src int, dsts []int) *Search {
+	if v.s == nil {
+		v.s = v.g.NewSearch()
 	}
-	done, prev := v.done[:n], v.prev[:n]
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		done[i] = false
-		prev[i] = -1
+	if !v.NodeEnabled(src) {
+		src = -1 // a disabled source reaches nothing
 	}
-	if src < 0 || src >= n || v.nodeOff[src] {
-		return dist
-	}
-	dist[src] = 0
-	q := &pq{}
-	heap.Push(q, item{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, e := range v.g.adj[u] {
-			if !v.edgeEnabled(u, e.To) {
-				continue
-			}
-			if nd := dist[u] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = u
-				heap.Push(q, item{node: e.To, dist: nd})
-			}
-		}
-	}
-	return dist
+	v.s.run(src, dsts, nil, func(u, w int) bool { return !v.edgeEnabled(u, w) })
+	return v.s
 }

@@ -156,19 +156,40 @@ func (w *World) buildRoutingGraph() *routingGraph {
 	return rg
 }
 
+// router is one goroutine's reusable routing state: a search over the
+// routing graph, and the great-circle km from each city to the current
+// query's destination (-1 until first needed), which A* asks for every time
+// it pushes any PoP in that city.
+type router struct {
+	s *graph.Search
+	h []float64
+}
+
+func (rg *routingGraph) newRouter() *router {
+	return &router{s: rg.g.NewSearch(), h: make([]float64, len(rg.w.Cities))}
+}
+
 // route computes the PoP-level forwarding path between two (ISP, city)
-// endpoints, returning the node sequence.
-func (rg *routingGraph) route(srcISP, srcCity, dstISP, dstCity int) []routingNode {
+// endpoints, returning the node sequence. It reads only the frozen graph
+// and w.Cities, so routers on different goroutines can run it at once.
+func (rg *routingGraph) route(rt *router, srcISP, srcCity, dstISP, dstCity int) []routingNode {
 	src, ok1 := rg.nodeID[routingNode{srcISP, srcCity}]
 	dst, ok2 := rg.nodeID[routingNode{dstISP, dstCity}]
 	if !ok1 || !ok2 {
 		return nil
 	}
 	dstLoc := rg.w.Cities[dstCity].Loc
-	h := func(n int) float64 {
-		return geo.Haversine(rg.w.Cities[rg.nodes[n].city].Loc, dstLoc)
+	for i := range rt.h {
+		rt.h[i] = -1
 	}
-	path, _, ok := rg.g.ShortestPathWithHeuristic(src, dst, h)
+	h := func(n int) float64 {
+		c := rg.nodes[n].city
+		if rt.h[c] < 0 {
+			rt.h[c] = geo.Haversine(rg.w.Cities[c].Loc, dstLoc)
+		}
+		return rt.h[c]
+	}
+	path, _, ok := rt.s.ShortestPathWithHeuristic(src, dst, h)
 	if !ok {
 		return nil
 	}
@@ -177,6 +198,18 @@ func (rg *routingGraph) route(srcISP, srcCity, dstISP, dstCity int) []routingNod
 		out[i] = rg.nodes[id]
 	}
 	return out
+}
+
+// anchorRoute routes between two anchors' PoPs: nil when either anchor's AS
+// runs no ISP or no path joins them.
+func (w *World) anchorRoute(rg *routingGraph, rt *router, srcA, dstA int) []routingNode {
+	src, dst := w.Anchors[srcA], w.Anchors[dstA]
+	srcISP := w.ASByNumber(src.ASN).ISP
+	dstISP := w.ASByNumber(dst.ASN).ISP
+	if srcISP < 0 || dstISP < 0 {
+		return nil
+	}
+	return rg.route(rt, srcISP, src.City, dstISP, dst.City)
 }
 
 // genTraceroutes samples anchor pairs and synthesizes their traceroute
@@ -199,25 +232,28 @@ func (w *World) genTraceroutes(r *rand.Rand) {
 			pairs = append(pairs, pair{s, d})
 		}
 	}
-	for _, p := range pairs {
-		if tr, ok := w.synthesizeTrace(r, rg, p.src, p.dst); ok {
+	// Routing draws nothing from r, so every pair's route is computed first,
+	// across all cores; synthesis then draws from r in pair order, and the
+	// world is the same at any GOMAXPROCS.
+	paths := make([][]routingNode, len(pairs))
+	graph.Parallel(len(pairs), rg.newRouter, func(rt *router, i int) {
+		paths[i] = w.anchorRoute(rg, rt, pairs[i].src, pairs[i].dst)
+	})
+	for i, p := range pairs {
+		if tr, ok := w.synthesizeTrace(r, paths[i], p.src, p.dst); ok {
 			w.Traces = append(w.Traces, tr)
 		}
 	}
 }
 
-func (w *World) synthesizeTrace(r *rand.Rand, rg *routingGraph, srcA, dstA int) (Traceroute, bool) {
-	src := w.Anchors[srcA]
-	dst := w.Anchors[dstA]
-	srcISP := w.ASByNumber(src.ASN).ISP
-	dstISP := w.ASByNumber(dst.ASN).ISP
-	if srcISP < 0 || dstISP < 0 {
-		return Traceroute{}, false
-	}
-	path := rg.route(srcISP, src.City, dstISP, dst.City)
+// synthesizeTrace turns a routed PoP path between two anchors into a
+// traceroute. An empty path yields no trace and draws nothing from r.
+func (w *World) synthesizeTrace(r *rand.Rand, path []routingNode, srcA, dstA int) (Traceroute, bool) {
 	if len(path) == 0 {
 		return Traceroute{}, false
 	}
+	src := w.Anchors[srcA]
+	dst := w.Anchors[dstA]
 	tr := Traceroute{SrcAnchor: srcA, DstAnchor: dstA}
 
 	// Decide per-AS-segment whether MPLS hides the interior.
