@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -31,6 +32,12 @@ func main() {
 	seed := flag.Int64("seed", 0, "world seed override (0 = config default)")
 	md := flag.String("md", "", "write a Markdown report to this file")
 	flag.Parse()
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "igdb-experiments: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := worldgen.SmallConfig()
 	if *scale == "paper" {
@@ -49,20 +56,13 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "environment ready in %v\n", time.Since(t0))
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
-		}
-	}
-
 	var report strings.Builder
 	fmt.Fprintf(&report, "# iGDB reproduction report\n\nscale: %s, seed: %d, built in %v\n\n", *scale, cfg.Seed, time.Since(t0).Round(time.Second))
 
-	for _, r := range env.All() {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
+	for _, x := range selected {
+		t1 := time.Now()
+		r := x.Run(env)
+		fmt.Fprintf(os.Stderr, "%s ready in %v\n", x.ID, time.Since(t1))
 		printResult(r)
 		writeMarkdown(&report, r)
 		if *out != "" {
@@ -87,6 +87,42 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *md)
 	}
+}
+
+// selectExperiments returns the experiments a comma-separated -only list
+// names, in paper order; all of them for an empty list. An id that names
+// no experiment is an error.
+func selectExperiments(only string) ([]experiments.Experiment, error) {
+	all := experiments.Experiments()
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			want[id] = true
+		}
+	}
+	if len(want) == 0 {
+		return all, nil
+	}
+	var out []experiments.Experiment
+	for _, x := range all {
+		if want[x.ID] {
+			out = append(out, x)
+			delete(want, x.ID)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		ids := make([]string, len(all))
+		for i, x := range all {
+			ids[i] = x.ID
+		}
+		return nil, fmt.Errorf("-only: unknown experiment %s (known: %s)", strings.Join(unknown, ", "), strings.Join(ids, ", "))
+	}
+	return out, nil
 }
 
 func printResult(r experiments.Result) {

@@ -74,22 +74,38 @@ func (r *Result) artifact(name string, data []byte) {
 	r.Artifacts[name] = data
 }
 
+// Experiment is one table or figure: the ID its Result carries and the Env
+// method that computes it.
+type Experiment struct {
+	ID  string
+	Run func(*Env) Result
+}
+
+// Experiments lists every experiment in paper order.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"table1", (*Env).Table1},
+		{"table2", (*Env).Table2},
+		{"table3", (*Env).Table3},
+		{"figure3", (*Env).Figure3},
+		{"figure4", (*Env).Figure4},
+		{"figure5", (*Env).Figure5},
+		{"figure6", (*Env).Figure6},
+		{"figure7", (*Env).Figure7},
+		{"figure8", (*Env).Figure8},
+		{"figure9", (*Env).Figure9},
+		{"figure10", (*Env).Figure10},
+		{"section44", (*Env).Section44},
+	}
+}
+
 // All runs every experiment in paper order.
 func (e *Env) All() []Result {
-	return []Result{
-		e.Table1(),
-		e.Table2(),
-		e.Table3(),
-		e.Figure3(),
-		e.Figure4(),
-		e.Figure5(),
-		e.Figure6(),
-		e.Figure7(),
-		e.Figure8(),
-		e.Figure9(),
-		e.Figure10(),
-		e.Section44(),
+	var out []Result
+	for _, x := range Experiments() {
+		out = append(out, x.Run(e))
 	}
+	return out
 }
 
 // measurementBetween finds the mesh measurement between two named metros.

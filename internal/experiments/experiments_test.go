@@ -331,9 +331,12 @@ func TestAllRuns(t *testing.T) {
 		t.Fatalf("All returned %d results, want 12", len(results))
 	}
 	seen := map[string]bool{}
-	for _, r := range results {
+	for i, r := range results {
 		if r.ID == "" || r.Title == "" {
 			t.Errorf("result missing identity: %+v", r)
+		}
+		if id := Experiments()[i].ID; r.ID != id {
+			t.Errorf("experiment %s returned a result with ID %s", id, r.ID)
 		}
 		if seen[r.ID] {
 			t.Errorf("duplicate id %s", r.ID)

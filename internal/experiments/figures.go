@@ -147,11 +147,9 @@ func (e *Env) Figure4() Result {
 	links := e.synthesizeInterTubes()
 	threshold := 25 * geo.KmPerMile
 
-	// iGDB inferred paths with both endpoints in the US.
-	type stdPath struct {
-		line []geo.Point
-	}
-	var usPaths []stdPath
+	// One 25-mile corridor around each iGDB inferred path with both
+	// endpoints in the US.
+	var corridors []geom.Buffer
 	rows := e.G.Rel.MustQuery(`SELECT path_wkt FROM std_paths WHERE from_country = 'US' AND to_country = 'US'`)
 	for _, row := range rows.Rows {
 		s, _ := row[0].AsText()
@@ -159,18 +157,19 @@ func (e *Env) Figure4() Result {
 		if err != nil || g.Kind != wkt.KindLineString {
 			continue
 		}
-		usPaths = append(usPaths, stdPath{line: g.Line})
+		corridors = append(corridors, geom.NewBuffer(g.Line, threshold))
 	}
 
 	matchedROW, totalROW := 0, 0
 	matchedPipe, totalPipe := 0, 0
-	usedPath := make([]bool, len(usPaths))
+	usedPath := make([]bool, len(corridors))
 	for _, l := range links {
-		// A link is approximated when some iGDB path covers it within the
-		// corridor threshold (directed Hausdorff from the link).
+		// A link is approximated when the corridor of some iGDB path covers
+		// every vertex of it (directed Hausdorff from the link within the
+		// threshold).
 		matched := false
-		for pi, p := range usPaths {
-			if geom.HausdorffDirectedKm(l.geometry, p.line) <= threshold {
+		for pi, c := range corridors {
+			if c.Covers(l.geometry) {
 				matched = true
 				usedPath[pi] = true
 				break
@@ -210,12 +209,12 @@ func (e *Env) Figure4() Result {
 
 	m := render.NewMap(geo.BBox{MinLon: -126, MinLat: 23, MaxLon: -65, MaxLat: 51}, 1200, 620)
 	m.SetTitle("InterTubes recreation (brown) vs iGDB routes (green) and alternates (purple)")
-	for pi, p := range usPaths {
+	for pi, c := range corridors {
 		st := render.Style{Stroke: "#8e44ad", StrokeWidth: 0.7} // purple alternates
 		if usedPath[pi] {
 			st = render.Style{Stroke: "#27ae60", StrokeWidth: 1.1} // matched
 		}
-		m.Polyline(p.line, st)
+		m.Polyline(c.Line, st)
 	}
 	for _, l := range links {
 		m.Polyline(l.geometry, render.Style{Stroke: "#8b5a2b", StrokeWidth: 0.8, Opacity: 0.8})

@@ -1,7 +1,8 @@
 // Package geom implements the geometry operations iGDB's spatial analyses
 // need: point-in-polygon tests, point-to-polyline distance, geodesic buffers
 // around routes (the §4.2 MPLS hidden-node inference joins AS peering
-// locations against a buffer around each inferred physical path),
+// locations against a buffer around each inferred physical path, and
+// Figure 4 asks whether a long-haul link lies inside one),
 // Sutherland–Hodgman clipping (used by the Voronoi builder), and
 // Douglas–Peucker simplification (used when rendering dense cable paths).
 package geom
@@ -240,28 +241,10 @@ func DistanceToPolylineKm(p geo.Point, line []geo.Point) (km float64, seg int) {
 	return best, bestSeg
 }
 
-// PolylineMinDistanceKm returns the minimum distance between two polylines
-// in km (0 when they intersect is approximated by vertex/segment proximity;
-// adequate for the 25-mile corridor comparison of Figure 4).
-func PolylineMinDistanceKm(a, b []geo.Point) float64 {
-	best := math.Inf(1)
-	for _, p := range a {
-		if d, _ := DistanceToPolylineKm(p, b); d < best {
-			best = d
-		}
-	}
-	for _, p := range b {
-		if d, _ := DistanceToPolylineKm(p, a); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // HausdorffDirectedKm returns the directed Hausdorff distance from polyline
 // a to polyline b in km: the largest distance any vertex of a is from b.
-// Used to score how closely an inferred right-of-way route tracks a
-// ground-truth long-haul link (Figure 4's "within 25 miles" criterion).
+// NewBuffer(b, r).Covers(a) answers HausdorffDirectedKm(a, b) <= r without
+// computing the distances; this is its reference.
 func HausdorffDirectedKm(a, b []geo.Point) float64 {
 	var worst float64
 	for _, p := range a {
@@ -285,20 +268,93 @@ func NewBuffer(line []geo.Point, radiusKm float64) Buffer {
 	return Buffer{Line: line, RadiusKm: radiusKm}
 }
 
-// Contains reports whether p lies within the buffer corridor.
+// Contains reports whether p lies within the buffer corridor, that is
+// whether DistanceToPolylineKm(p, b.Line) <= b.RadiusKm. It returns at the
+// first segment within the radius.
 func (b Buffer) Contains(p geo.Point) bool {
-	d, _ := DistanceToPolylineKm(p, b.Line)
-	return d <= b.RadiusKm
+	if len(b.Line) == 1 {
+		return geo.Haversine(p, b.Line[0]) <= b.RadiusKm
+	}
+	for i := 1; i < len(b.Line); i++ {
+		if DistanceToSegmentKm(p, b.Line[i-1], b.Line[i]) <= b.RadiusKm {
+			return true
+		}
+	}
+	// No segment is within the radius, so the distance is beyond a finite
+	// radius or +Inf (an empty line, or a line of NaN segments).
+	return math.IsInf(b.RadiusKm, 1)
 }
 
-// BBox returns a bounding box guaranteed to contain the buffer, for index
-// pre-filtering.
+// Covers reports whether every vertex of line lies within the buffer, that
+// is whether HausdorffDirectedKm(line, b.Line) <= b.RadiusKm for valid
+// points. A vertex outside BBox rejects the line before any distance is
+// computed, and the first vertex outside the corridor ends the test.
+func (b Buffer) Covers(line []geo.Point) bool {
+	if !(b.RadiusKm >= 0) {
+		return false // no directed Hausdorff distance is below 0
+	}
+	box := b.BBox()
+	for _, p := range line {
+		if !box.Contains(p) {
+			return false
+		}
+	}
+	for _, p := range line {
+		if !b.Contains(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// kmPerDeg is the length of a degree of latitude on the sphere that
+// DistanceToSegmentKm and geo.Haversine measure on.
+const kmPerDeg = math.Pi / 180 * geo.EarthRadiusKm
+
+// BBox returns a box holding every valid point that Contains accepts, for
+// a finite radius, so it can pre-filter candidates before the exact test.
+// Latitude is padded by the radius in degrees of latitude, longitude by the
+// radius in degrees of the parallel at the padded box's largest |latitude|,
+// where a degree of longitude is shortest. That bounds both metrics:
+// DistanceToSegmentKm projects at a segment's mean latitude, which lies
+// inside the box, and a great circle within the radius of a one-vertex
+// line stays inside the padded latitudes. The pads carry a small margin
+// for rounding. The box spans every longitude when a segment crosses the
+// antimeridian, or when the padded box reaches ±180° (as it does near a
+// pole); boxes never wrap.
 func (b Buffer) BBox() geo.BBox {
+	if len(b.Line) == 0 {
+		return geo.EmptyBBox()
+	}
 	box := geo.BBoxOf(b.Line)
-	// One degree of latitude is ~111 km; padding by the radius converted at
-	// the equator over-covers at higher latitudes, which is safe.
-	pad := b.RadiusKm / 111.0 * 1.5
-	return box.Pad(pad)
+	latPad := withMargin(b.RadiusKm / kmPerDeg)
+	box.MinLat = math.Max(-90, box.MinLat-latPad)
+	box.MaxLat = math.Min(90, box.MaxLat+latPad)
+	maxLat := math.Max(math.Abs(box.MinLat), math.Abs(box.MaxLat))
+	lonPad := withMargin(b.RadiusKm / (kmPerDeg * math.Cos(maxLat*math.Pi/180)))
+	box.MinLon -= lonPad
+	box.MaxLon += lonPad
+	if box.MinLon <= -180 || box.MaxLon >= 180 || crossesAntimeridian(b.Line) {
+		box.MinLon, box.MaxLon = -180, 180
+	}
+	return box
+}
+
+// withMargin widens a pad in degrees by one part in a billion plus a
+// nanodegree, more than the rounding of any distance computation here.
+func withMargin(deg float64) float64 { return deg*(1+1e-9) + 1e-9 }
+
+// crossesAntimeridian reports whether DistanceToSegmentKm, which unwraps
+// each segment the short way round, takes some segment of line across
+// ±180°.
+func crossesAntimeridian(line []geo.Point) bool {
+	for i := 1; i < len(line); i++ {
+		a, b := line[i-1].Lon, line[i].Lon
+		if math.Abs(a+wrapLon180(b-a)-b) > 180 {
+			return true
+		}
+	}
+	return false
 }
 
 // Outline returns an approximate polygon outline of the buffer for
