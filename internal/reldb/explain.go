@@ -114,15 +114,17 @@ func (n *PlanNode) walk(fn func(*PlanNode, int), depth int) {
 // path: every probe call on it is a nil check and nothing else, which keeps
 // EXPLAIN support free when not asked for.
 type selectPlan struct {
-	root   *PlanNode
-	scan   *PlanNode
-	joins  []*PlanNode
-	rscans []*PlanNode // right-side scan child per join, same order
-	filter *PlanNode
-	output *PlanNode // group or project
-	dedup  *PlanNode
-	sort   *PlanNode
-	limit  *PlanNode
+	root       *PlanNode
+	scan       *PlanNode
+	scanFilter *PlanNode // filter pushed onto the FROM table's scan, or nil
+	joins      []*PlanNode
+	rscans     []*PlanNode // right-side scan per join, same order
+	rfilters   []*PlanNode // filter pushed onto each right-side scan, or nil
+	filter     *PlanNode   // what is left of WHERE, after the joins, or nil
+	output     *PlanNode   // group or project
+	dedup      *PlanNode
+	sort       *PlanNode
+	limit      *PlanNode
 }
 
 // opProbe measures one operator activation. The zero-value-free nil form is
@@ -147,6 +149,20 @@ func (pl *selectPlan) probeScan() *opProbe {
 		return nil
 	}
 	return newProbe(pl.scan)
+}
+
+func (pl *selectPlan) probeScanFilter() *opProbe {
+	if pl == nil {
+		return nil
+	}
+	return newProbe(pl.scanFilter)
+}
+
+func (pl *selectPlan) probeRightFilter(i int) *opProbe {
+	if pl == nil {
+		return nil
+	}
+	return newProbe(pl.rfilters[i])
 }
 
 func (pl *selectPlan) probeJoin(i int) *opProbe {
@@ -212,69 +228,73 @@ func (pl *selectPlan) joinProbeAt(i int) *joinProbe {
 	if pl == nil {
 		return nil
 	}
-	return &joinProbe{join: pl.joins[i], scan: pl.rscans[i]}
+	return &joinProbe{join: pl.joins[i], scan: pl.rscans[i], filtered: pl.rfilters[i] != nil}
 }
 
 // joinProbe lets the join operator report which strategy it actually chose
 // and how the right-side scan behaved under it.
 type joinProbe struct {
-	join *PlanNode
-	scan *PlanNode
+	join     *PlanNode
+	scan     *PlanNode
+	filtered bool // a pushed filter sits between the scan and the join
 }
 
-func (jp *joinProbe) chose(hash bool, leftRows, rightRows int) {
+// chose records the join strategy. scanned is the right table's row count
+// and rightRows the rows the join reads, fewer when a filter was pushed.
+func (jp *joinProbe) chose(hash bool, leftRows, scanned, rightRows int) {
 	if jp == nil {
 		return
 	}
+	jp.join.Op = OpLoopJoin
 	if hash {
 		jp.join.Op = OpHashJoin
-		// Hash join reads the right side once to build the hash table.
-		jp.scan.Actual = &OpStats{RowsIn: rightRows, RowsOut: rightRows, Loops: 1}
-		return
+	} else {
+		jp.join.Index = ""
 	}
-	jp.join.Op = OpLoopJoin
-	jp.join.Index = ""
-	// Nested loop re-scans the right side once per left row.
-	jp.scan.Actual = &OpStats{RowsIn: rightRows, RowsOut: leftRows * rightRows, Loops: leftRows}
+	switch {
+	case jp.filtered || hash:
+		// The pushed filter, or the hash build, reads the table once; a
+		// nested loop then re-reads the filter's kept rows per left row.
+		jp.scan.Actual = &OpStats{RowsIn: scanned, RowsOut: scanned, Loops: 1}
+	default:
+		// Nested loop re-scans the right side once per left row.
+		jp.scan.Actual = &OpStats{RowsIn: rightRows, RowsOut: leftRows * rightRows, Loops: leftRows}
+	}
 }
 
 // planSelect builds the static plan tree for a SELECT. The caller must hold
 // db.mu (shared is enough); the planner reads table sizes and index state
-// and replays the executor's own join-strategy decision so EXPLAIN never
-// lies about what execution would do.
+// and replays the executor's own filter placement and join-strategy
+// decisions so EXPLAIN never lies about what execution would do.
 func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
+	from, err := db.resolveFrom(s)
+	if err != nil {
+		return nil, err
+	}
+	pf := placeFilters(s, from)
 	pl := &selectPlan{}
-	sch := newSchema()
 	var cur *PlanNode
 	if s.From == nil {
 		cur = &PlanNode{Op: OpValues, Detail: "one synthetic row", EstRows: 1}
 		pl.scan = cur
 	} else {
-		//lint:ignore guardedby callers hold db.mu
-		base, ok := db.tables[strings.ToLower(s.From.Name)]
-		if !ok {
-			return nil, fmt.Errorf("reldb: no such table %q", s.From.Name)
-		}
-		cur = scanNode(s.From.label(), base)
+		cur = scanNode(s.From.label(), from.tables[0])
 		pl.scan = cur
-		sch.addTable(s.From.label(), base)
-		for _, j := range s.Joins {
-			//lint:ignore guardedby callers hold db.mu
-			jt, ok := db.tables[strings.ToLower(j.Table.Name)]
-			if !ok {
-				return nil, fmt.Errorf("reldb: no such table %q", j.Table.Name)
-			}
-			newSch := &schema{
-				labels: append([]string{}, sch.labels...),
-				names:  append([]string{}, sch.names...),
-			}
-			newSch.addTable(j.Table.label(), jt)
-			lExpr, rExpr := equiJoinPair(j.On, sch, newSch, j.Table.label(), jt)
-			kind := "inner"
+		if pf.scan != nil {
+			pl.scanFilter = filterNode(pf.scan, cur)
+			cur = pl.scanFilter
+		}
+		for i, j := range s.Joins {
+			jt := from.tables[i+1]
+			lExpr, rExpr := equiJoinPair(pf.on[i], from.upTo(i), j.Table.label(), jt)
+			detail := "inner join"
 			if j.Left {
-				kind = "left"
+				detail = "left join"
 			}
-			jn := &PlanNode{Detail: kind + " join on " + ExprString(j.On)}
+			if pf.on[i] != nil {
+				detail += " on " + ExprString(pf.on[i])
+			}
+			jn := &PlanNode{Detail: detail}
 			if lExpr != nil {
 				jn.Op = OpHashJoin
 				jn.Index = "hash(" + ExprString(rExpr) + ")"
@@ -282,20 +302,26 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 				jn.Op = OpLoopJoin
 			}
 			rscan := scanNode(j.Table.label(), jt)
-			jn.Children = []*PlanNode{cur, rscan}
+			var rfilter *PlanNode
+			right := rscan
+			if pf.right[i] != nil {
+				rfilter = filterNode(pf.right[i], rscan)
+				right = rfilter
+			}
+			jn.Children = []*PlanNode{cur, right}
 			pl.joins = append(pl.joins, jn)
 			pl.rscans = append(pl.rscans, rscan)
+			pl.rfilters = append(pl.rfilters, rfilter)
 			cur = jn
-			sch = newSch
 		}
 	}
 
-	if s.Where != nil {
-		pl.filter = &PlanNode{Op: OpFilter, Detail: ExprString(s.Where), Children: []*PlanNode{cur}}
+	if pf.where != nil {
+		pl.filter = filterNode(pf.where, cur)
 		cur = pl.filter
 	}
 
-	items, err := expandStars(s.Items, sch)
+	items, err := expandStars(s.Items, from.sch)
 	if err != nil {
 		return nil, err
 	}
@@ -353,6 +379,11 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	}
 	pl.root = cur
 	return pl, nil
+}
+
+// filterNode keeps the rows of child on which pred is true.
+func filterNode(pred Expr, child *PlanNode) *PlanNode {
+	return &PlanNode{Op: OpFilter, Detail: ExprString(pred), Children: []*PlanNode{child}}
 }
 
 // scanNode describes a full scan of one table, annotated with the hash

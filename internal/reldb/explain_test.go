@@ -49,6 +49,18 @@ func TestExplainPlanShape(t *testing.T) {
 			[]string{"project", "hash_join", "scan", "scan"}},
 		{"SELECT c.name FROM cities c JOIN links l ON l.src < c.id",
 			[]string{"project", "nested_loop_join", "scan", "scan"}},
+		// A WHERE conjunct on the FROM table filters its scan; the mixed
+		// one stays above the join.
+		{"SELECT c.name FROM cities c JOIN links l ON l.src = c.id WHERE c.pop > 200 AND l.dst > c.id",
+			[]string{"project", "filter", "hash_join", "filter", "scan", "scan"}},
+		// An ON conjunct on the joined table filters its rows before the
+		// hash build.
+		{"SELECT c.name FROM cities c JOIN links l ON l.src = c.id AND l.km < 1000",
+			[]string{"project", "hash_join", "scan", "filter", "scan"}},
+		// A WHERE conjunct on a LEFT-joined table stays above the join: it
+		// must see the NULL-padded rows.
+		{"SELECT c.name FROM cities c LEFT JOIN links l ON l.src = c.id WHERE l.km IS NULL",
+			[]string{"project", "filter", "hash_join", "scan", "scan"}},
 		{"SELECT 1+1",
 			[]string{"project", "values"}},
 	}
@@ -72,7 +84,7 @@ func TestExplainPlanShape(t *testing.T) {
 
 func TestExplainAnalyzeActuals(t *testing.T) {
 	db := explainTestDB(t)
-	sql := "SELECT c.country, COUNT(*) AS n FROM cities c JOIN links l ON l.src = c.id WHERE c.pop > 100 GROUP BY c.country ORDER BY n DESC LIMIT 1"
+	sql := "SELECT c.country, COUNT(*) AS n FROM cities c JOIN links l ON l.src = c.id WHERE c.pop > 200 GROUP BY c.country ORDER BY n DESC LIMIT 1"
 	plan, err := db.Explain(sql, true)
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +99,17 @@ func TestExplainAnalyzeActuals(t *testing.T) {
 			t.Errorf("node %s: loops = %d, want >= 1", p.Op, p.Actual.Loops)
 		}
 	})
-	// 4 joined rows survive (every link src has pop > 100).
-	if got := byOp["hash_join"].Actual.RowsOut; got != 4 {
-		t.Errorf("hash_join rows_out = %d, want 4", got)
+	// The WHERE conjunct runs at the cities scan: 3 of 4 cities have
+	// pop > 200, and the links of the 2 that are link sources survive.
+	filter := byOp["filter"]
+	if got := filter.Actual; got.RowsIn != 4 || got.RowsOut != 3 {
+		t.Errorf("filter in/out = %d/%d, want 4/3", got.RowsIn, got.RowsOut)
 	}
-	if got := byOp["filter"].Actual; got.RowsIn != 4 || got.RowsOut != 4 {
-		t.Errorf("filter in/out = %d/%d, want 4/4", got.RowsIn, got.RowsOut)
+	if len(filter.Children) != 1 || filter.Children[0].Op != "scan" || filter.Children[0].Table != "cities" {
+		t.Errorf("filter does not sit directly on the cities scan: %v", filter.Text())
+	}
+	if got := byOp["hash_join"].Actual; got.RowsIn != 3 || got.RowsOut != 2 {
+		t.Errorf("hash_join in/out = %d/%d, want 3/2", got.RowsIn, got.RowsOut)
 	}
 	// Two countries grouped, limit keeps one.
 	if got := byOp["group"].Actual.RowsOut; got != 2 {
