@@ -104,8 +104,7 @@ func (e *Env) Table3() Result {
 	// hostname can be geolocated differently under different measurement
 	// contexts, so each hostname takes its majority metro.
 	votes := map[string]map[string]int{}
-	for _, m := range e.P.Measurements {
-		ta := e.P.AnalyzeTrace(m)
+	for _, ta := range e.P.Analyses() {
 		for _, h := range ta.Hops {
 			if h.ASN != 174 || h.GeoSource != "hoiho" || h.Hostname == "" {
 				continue
@@ -273,8 +272,7 @@ func (e *Env) beliefPropagation() bpStats {
 	// trace analysis.
 	holdout := map[uint32]int{}
 	seedNoHoiho := map[uint32]int{}
-	for _, m := range e.P.Measurements {
-		ta := e.P.AnalyzeTrace(m)
+	for _, ta := range e.P.Analyses() {
 		for _, h := range ta.Hops {
 			if h.City < 0 {
 				continue

@@ -10,6 +10,7 @@ package paths
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"igdb/internal/bdrmap"
 	"igdb/internal/core"
@@ -46,6 +47,10 @@ type Pipeline struct {
 
 	ixpTrie       *iptrie.Trie // IXP LAN prefix → city index
 	asnMetroCache map[int]map[int]bool
+
+	analyzeOnce  sync.Once
+	analyses     []TraceAnalysis      // AnalyzeTrace of each measurement
+	observations []geoloc.Observation // the same hops as geoloc observations
 }
 
 // NewPipeline loads the measurement-side snapshots and trains the learned
@@ -268,8 +273,7 @@ func (p *Pipeline) StoreIPASNDNS() (int, error) {
 	}
 	seen := map[uint32]entry{}
 	order := []uint32{}
-	for _, m := range p.Measurements {
-		ta := p.AnalyzeTrace(m)
+	for _, ta := range p.Analyses() {
 		for _, h := range ta.Hops {
 			if _, have := seen[h.IP]; have {
 				continue
@@ -485,24 +489,37 @@ func (p *Pipeline) DistanceCost(citySeq []int) (inferredKm, shortestKm, cost flo
 	return inferredKm, shortestKm, inferredKm / shortestKm, true
 }
 
-// Observations converts the loaded measurements into geoloc observations
-// with bdrmap AS attributions, for belief propagation (§4.4).
-func (p *Pipeline) Observations() []geoloc.Observation {
-	out := make([]geoloc.Observation, 0, len(p.Measurements))
-	for _, m := range p.Measurements {
-		var o geoloc.Observation
-		for _, h := range m.Hops {
-			addr, err := iptrie.ParseAddr(h.IP)
-			if err != nil {
-				continue
+// Analyses returns AnalyzeTrace of every loaded measurement, in
+// Measurements order. The corpus is analyzed once, on first use, and every
+// caller shares the result: neither the slice nor the analyses in it may
+// be modified.
+func (p *Pipeline) Analyses() []TraceAnalysis {
+	p.analyzeOnce.Do(func() {
+		p.analyses = make([]TraceAnalysis, len(p.Measurements))
+		p.observations = make([]geoloc.Observation, len(p.Measurements))
+		for i, m := range p.Measurements {
+			ta := p.AnalyzeTrace(m)
+			o := geoloc.Observation{
+				IPs:  make([]uint32, len(ta.Hops)),
+				RTTs: make([]float64, len(ta.Hops)),
+				ASNs: make([]int, len(ta.Hops)),
 			}
-			o.IPs = append(o.IPs, addr)
-			o.RTTs = append(o.RTTs, h.RTT)
+			for j, h := range ta.Hops {
+				o.IPs[j], o.RTTs[j], o.ASNs[j] = h.IP, h.RTT, h.ASN
+			}
+			p.analyses[i], p.observations[i] = ta, o
 		}
-		o.ASNs = p.Mapper.MapTrace(o.IPs, p.PTR)
-		out = append(out, o)
-	}
-	return out
+	})
+	return p.analyses
+}
+
+// Observations returns the loaded measurements as geoloc observations with
+// bdrmap AS attributions, for belief propagation (§4.4), from the one
+// analysis Analyses runs. The slice and the observations' slices are
+// shared by every caller and must not be modified.
+func (p *Pipeline) Observations() []geoloc.Observation {
+	p.Analyses()
+	return p.observations
 }
 
 // KnownLocations returns every IP geolocatable without propagation, the
@@ -510,8 +527,7 @@ func (p *Pipeline) Observations() []geoloc.Observation {
 // context sharpen ambiguous geohints.
 func (p *Pipeline) KnownLocations() map[uint32]int {
 	known := make(map[uint32]int)
-	for _, m := range p.Measurements {
-		ta := p.AnalyzeTrace(m)
+	for _, ta := range p.Analyses() {
 		for _, h := range ta.Hops {
 			if h.City < 0 {
 				continue
