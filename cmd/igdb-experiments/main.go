@@ -38,10 +38,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	cfg := worldgen.SmallConfig()
-	if *scale == "paper" {
-		cfg = worldgen.DefaultConfig()
+	cfg, err := scaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "igdb-experiments: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -87,6 +88,17 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *md)
 	}
+}
+
+// scaleConfig returns the world configuration a -scale value names.
+func scaleConfig(scale string) (worldgen.Config, error) {
+	switch scale {
+	case "small":
+		return worldgen.SmallConfig(), nil
+	case "paper":
+		return worldgen.DefaultConfig(), nil
+	}
+	return worldgen.Config{}, fmt.Errorf("-scale: unknown scale %q (known: small, paper)", scale)
 }
 
 // selectExperiments returns the experiments a comma-separated -only list

@@ -30,3 +30,16 @@ func TestSelectExperiments(t *testing.T) {
 		t.Errorf("unknown ids: err = %v, want both named", err)
 	}
 }
+
+func TestScaleConfig(t *testing.T) {
+	for _, scale := range []string{"small", "paper"} {
+		if _, err := scaleConfig(scale); err != nil {
+			t.Errorf("-scale %s: %v", scale, err)
+		}
+	}
+	for _, scale := range []string{"large", "", "Paper"} {
+		if _, err := scaleConfig(scale); err == nil {
+			t.Errorf("-scale %q accepted", scale)
+		}
+	}
+}

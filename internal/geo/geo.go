@@ -45,8 +45,14 @@ func FromRadians(lon, lat float64) Point {
 	return Point{Lon: lon * 180 / math.Pi, Lat: lat * 180 / math.Pi}
 }
 
-// NormalizeLon wraps a longitude into [-180, 180].
+// NormalizeLon wraps a longitude into [-180, 180]; ±Inf and NaN give NaN.
+// A longitude beyond ±540 is first reduced with math.Mod, which is exact,
+// so the loops below run at most once each and a huge or infinite input
+// returns at once.
 func NormalizeLon(lon float64) float64 {
+	if math.Abs(lon) > 540 {
+		lon = math.Mod(lon, 360)
+	}
 	for lon > 180 {
 		lon -= 360
 	}

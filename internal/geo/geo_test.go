@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +153,41 @@ func TestNormalizeLon(t *testing.T) {
 	for _, c := range cases {
 		if got := NormalizeLon(c.in); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("NormalizeLon(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// NormalizeLon returns at once on infinite, NaN and huge longitudes, and
+// within ±540 returns the same bits as the subtraction loops alone.
+func TestNormalizeLonExtremes(t *testing.T) {
+	for _, in := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := NormalizeLon(in); !math.IsNaN(got) {
+			t.Errorf("NormalizeLon(%v) = %v, want NaN", in, got)
+		}
+	}
+	// 1e16 is exact in float64 and 1e16 mod 360 = 280.
+	for _, c := range []struct{ in, want float64 }{{1e16, -80}, {-1e16, 80}} {
+		if got := NormalizeLon(c.in); got != c.want {
+			t.Errorf("NormalizeLon(%g) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	loops := func(lon float64) float64 {
+		for lon > 180 {
+			lon -= 360
+		}
+		for lon < -180 {
+			lon += 360
+		}
+		return lon
+	}
+	r := rand.New(rand.NewSource(1))
+	ins := []float64{540, -540, 180, -180, 360, -360, math.Nextafter(-540, 0), math.Nextafter(540, 0), math.Nextafter(180, 181)}
+	for i := 0; i < 100000; i++ {
+		ins = append(ins, 540-1080*r.Float64(), float64(i-50000)*0.0108)
+	}
+	for _, in := range ins {
+		if got, want := NormalizeLon(in), loops(in); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeLon(%v) = %v, the loops give %v", in, got, want)
 		}
 	}
 }
