@@ -24,9 +24,21 @@ import (
 // pinnedExtraSQL. A change to how the executor computes an answer (a new
 // plan, a faster operator) must leave every digest unchanged.
 var pinnedAnswerSHA = map[string]string{
+	"asn_loc_174":                "474e8598d2e59f6065bcfed471820da205b8e9b2b4afb601f816829d4248d251",
+	"asn_loc_174_float":          "474e8598d2e59f6065bcfed471820da205b8e9b2b4afb601f816829d4248d251",
+	"asn_loc_174_text":           "474e8598d2e59f6065bcfed471820da205b8e9b2b4afb601f816829d4248d251",
+	"asn_loc_metros_174":         "1eb2ff9f99a3d7926ab8b53dbed0e496d2c91170e8c9957e4de2ce14a3c391ce",
 	"asn_metros":                 "4b111f992e35df218910a19c706a64a63730fb6812f43a3a69d789e1fb9477b3",
+	"asn_name_join_de":           "2bda9e866d5cce42c84cc398937a8415df6dc39382017f9cc4eca4a7cf434fc6",
+	"asn_name_left_join_de":      "2bda9e866d5cce42c84cc398937a8415df6dc39382017f9cc4eca4a7cf434fc6",
 	"country_top":                "15e3e0800d8c2e532829a70e8111099ab2dc65b36ab42f073483ecb5914930c3",
 	"figure8":                    "8dca9adec57bba02829327a69be261141ce3a9d023c83137fc048dbf10ffa1e8",
+	"footprint_metros_174":       "e07b5599d818a27fc906e9ad6b3fce5d7b605174d31db7fb2415236418d22edf",
+	"footprint_metros_absent":    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+	"footprint_names_174":        "5f9c05d6c3ea5cd82ed09bff9164734865b499cb4f5f6622ee8d1283aca79325",
+	"footprint_names_absent":     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+	"footprint_orgs_174":         "99dae2071328c1d767823271112b3e5fafcde6171471f917ede9774810dac2f5",
+	"footprint_orgs_absent":      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 	"harvested-066c805672af4ac1": "863409e2b76f9726570ea2da1adbe65cac3022d2d892d363abf2ad61c6b09bd2",
 	"harvested-2068f40dad66fec9": "52b94d720fff5d3be2c2af8d95b24ffabdbbeab3fe0d2cc5166229e7c54235b3",
 	"harvested-2a2dc3093d3c4914": "21dcbe7ea4cd13bba77dfbdd8fdbff38399f02978bcc716dfe8fe8accad0974f",
@@ -70,8 +82,13 @@ var pinnedAnswerSHA = map[string]string{
 }
 
 // pinnedExtraSQL are statements pinned beside the harvested seeds: the
-// Figure 8 self-join kept in perfbench's corpus and the four ad-hoc
-// templates of perfbench/data/adhoc.json at fixed literals.
+// Figure 8 self-join kept in perfbench's corpus, the four ad-hoc templates
+// of perfbench/data/adhoc.json at fixed literals, and the point queries
+// and equi-joins on indexed columns that the server and paths run. AS
+// 4200000000 is absent from the world. The statements without ORDER BY
+// pin row order too; asn_loc_174_text and asn_loc_174_float compare asn
+// with a literal of another kind and return AS 174's rows, the digest of
+// asn_loc_174.
 var pinnedExtraSQL = map[string]string{
 	"figure8": `SELECT DISTINCT n1.metro, n1.state_province, n2.metro, n2.state_province
 		FROM phys_nodes n1
@@ -81,6 +98,19 @@ var pinnedExtraSQL = map[string]string{
 	"country_top": `SELECT l.asn, COUNT(DISTINCT l.metro) AS metros FROM asn_loc l WHERE l.country = 'US' OR l.country = 'DE' GROUP BY l.asn ORDER BY metros DESC, l.asn LIMIT 10`,
 	"metro_paths": `SELECT to_metro, to_country, distance_km FROM std_paths WHERE from_metro = 'New York' AND from_country = 'US' AND distance_km < 3000 ORDER BY distance_km, to_country, to_metro`,
 	"metro_nodes": `SELECT organization, COUNT(*) AS nodes FROM phys_nodes WHERE metro = 'New York' AND country = 'US' GROUP BY organization ORDER BY nodes DESC, organization LIMIT 5`,
+
+	"footprint_names_174":     `SELECT DISTINCT asn_name FROM asn_name WHERE asn = 174 ORDER BY asn_name`,
+	"footprint_orgs_174":      `SELECT DISTINCT organization FROM asn_org WHERE asn = 174 ORDER BY organization`,
+	"footprint_metros_174":    `SELECT DISTINCT metro, state_province, country, remote FROM asn_loc WHERE asn = 174 ORDER BY country, metro`,
+	"footprint_names_absent":  `SELECT DISTINCT asn_name FROM asn_name WHERE asn = 4200000000 ORDER BY asn_name`,
+	"footprint_orgs_absent":   `SELECT DISTINCT organization FROM asn_org WHERE asn = 4200000000 ORDER BY organization`,
+	"footprint_metros_absent": `SELECT DISTINCT metro, state_province, country, remote FROM asn_loc WHERE asn = 4200000000 ORDER BY country, metro`,
+	"asn_loc_metros_174":      `SELECT DISTINCT metro, state_province, country FROM asn_loc WHERE asn = 174`,
+	"asn_loc_174":             `SELECT metro, state_province, country FROM asn_loc WHERE asn = 174`,
+	"asn_loc_174_text":        `SELECT metro, state_province, country FROM asn_loc WHERE asn = '174'`,
+	"asn_loc_174_float":       `SELECT metro, state_province, country FROM asn_loc WHERE asn = 174.0`,
+	"asn_name_join_de":        `SELECT l.metro, n.asn_name FROM asn_loc l JOIN asn_name n ON n.asn = l.asn WHERE l.country = 'DE'`,
+	"asn_name_left_join_de":   `SELECT l.metro, n.asn_name FROM asn_loc l LEFT JOIN asn_name n ON n.asn = l.asn WHERE l.country = 'DE'`,
 }
 
 // harvestedSelects returns the SELECT statements among the harvested seeds,
