@@ -49,10 +49,16 @@ type operatorCase struct {
 }
 
 // operatorCases are the BenchmarkOperators queries with their budgets.
+// The index cases run on their own copies of the tables, indexed, so the
+// others read and build as they would without indexes.
 func operatorCases(tb testing.TB) []operatorCase {
 	const factRows, dimRows = 20000, 2000
 	db := benchOpDB(tb, factRows, dimRows)
 	small := benchOpDB(tb, 200, 200)
+	factsByASN := benchOpDB(tb, factRows, dimRows)
+	factsByASN.MustExec(`CREATE INDEX ON facts (asn)`)
+	dimByASN := benchOpDB(tb, factRows, dimRows)
+	dimByASN.MustExec(`CREATE INDEX ON dim (asn)`)
 	return []operatorCase{
 		{"Scan", db, `SELECT asn FROM facts`, factRows, 40},
 		{"Filter", db, `SELECT asn FROM facts WHERE v < 0.1 AND country != 'C0'`, factRows, 60},
@@ -60,14 +66,17 @@ func operatorCases(tb testing.TB) []operatorCase {
 		{"NestedLoopJoin", small, `SELECT f.asn FROM facts f JOIN dim d ON d.asn < f.asn LIMIT 100000`, 200 * 200, 40200},
 		{"Group", db, `SELECT country, COUNT(*), AVG(v) FROM facts GROUP BY country`, factRows, 600},
 		{"Sort", db, `SELECT asn FROM facts ORDER BY v DESC`, factRows, 40},
+		{"IndexLookup", factsByASN, `SELECT asn FROM facts WHERE asn = 7`, factRows / dimRows, 40},
+		{"IndexJoin", dimByASN, `SELECT f.asn FROM facts f JOIN dim d ON d.asn = f.asn`, factRows, 20200},
 	}
 }
 
 // TestOperatorAllocBudgets holds each BenchmarkOperators query, plus one
-// DISTINCT, to its allocation budget. Measured counts: Scan 14, Filter 26
-// (1,940 output rows), HashJoin 24,055 (one joined row per output row),
-// NestedLoopJoin 40,044, Group 512, Sort 17, Distinct 126; -race adds at
-// most a few.
+// DISTINCT, to its allocation budget. Measured counts: Scan 19, Filter 36
+// (1,940 output rows), HashJoin 24,062 (one joined row per output row),
+// NestedLoopJoin 40,052, Group 518, Sort 23, IndexLookup 28 (a bucket of
+// 10 rows), IndexJoin 20,053 (HashJoin without its hash table), Distinct
+// 132; -race adds at most a few.
 func TestOperatorAllocBudgets(t *testing.T) {
 	cases := operatorCases(t)
 	cases = append(cases, operatorCase{"Distinct", cases[0].db, `SELECT DISTINCT country FROM facts`, 20000, 200})

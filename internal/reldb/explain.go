@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -224,61 +223,31 @@ func (p *opProbe) done(rowsIn, rowsOut, loops int) {
 	st.TimeMs += float64(time.Since(p.t0)) / float64(time.Millisecond)
 }
 
-func (pl *selectPlan) joinProbeAt(i int) *joinProbe {
+// scannedRight records how join i read its right side (see join).
+func (pl *selectPlan) scannedRight(i int, st OpStats) {
 	if pl == nil {
-		return nil
-	}
-	return &joinProbe{join: pl.joins[i], scan: pl.rscans[i], filtered: pl.rfilters[i] != nil}
-}
-
-// joinProbe lets the join operator report which strategy it actually chose
-// and how the right-side scan behaved under it.
-type joinProbe struct {
-	join     *PlanNode
-	scan     *PlanNode
-	filtered bool // a pushed filter sits between the scan and the join
-}
-
-// chose records the join strategy. scanned is the right table's row count
-// and rightRows the rows the join reads, fewer when a filter was pushed.
-func (jp *joinProbe) chose(hash bool, leftRows, scanned, rightRows int) {
-	if jp == nil {
 		return
 	}
-	jp.join.Op = OpLoopJoin
-	if hash {
-		jp.join.Op = OpHashJoin
-	} else {
-		jp.join.Index = ""
-	}
-	switch {
-	case jp.filtered || hash:
-		// The pushed filter, or the hash build, reads the table once; a
-		// nested loop then re-reads the filter's kept rows per left row.
-		jp.scan.Actual = &OpStats{RowsIn: scanned, RowsOut: scanned, Loops: 1}
-	default:
-		// Nested loop re-scans the right side once per left row.
-		jp.scan.Actual = &OpStats{RowsIn: rightRows, RowsOut: leftRows * rightRows, Loops: leftRows}
-	}
+	pl.rscans[i].Actual = &st
 }
 
 // planSelect builds the static plan tree for a SELECT. The caller must hold
-// db.mu (shared is enough); the planner reads table sizes and index state
-// and replays the executor's own filter placement and join-strategy
-// decisions so EXPLAIN never lies about what execution would do.
+// db.mu (shared is enough). It renders the executor's own decisions, from
+// planAccess, so EXPLAIN never lies about what execution would do: where
+// each filter runs, which scans are index lookups, and how each join runs.
 func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
-	from, err := db.resolveFrom(s)
+	a, err := db.planAccess(s)
 	if err != nil {
 		return nil, err
 	}
-	pf := placeFilters(s, from)
+	from, pf := a.from, a.pf
 	pl := &selectPlan{}
 	var cur *PlanNode
 	if s.From == nil {
 		cur = &PlanNode{Op: OpValues, Detail: "one synthetic row", EstRows: 1}
 		pl.scan = cur
 	} else {
-		cur = scanNode(s.From.label(), from.tables[0])
+		cur = scanNode(s.From.label(), from.tables[0], a.lookups[0])
 		pl.scan = cur
 		if pf.scan != nil {
 			pl.scanFilter = filterNode(pf.scan, cur)
@@ -286,7 +255,6 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		}
 		for i, j := range s.Joins {
 			jt := from.tables[i+1]
-			lExpr, rExpr := equiJoinPair(pf.on[i], from.upTo(i), j.Table.label(), jt)
 			detail := "inner join"
 			if j.Left {
 				detail = "left join"
@@ -294,14 +262,15 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 			if pf.on[i] != nil {
 				detail += " on " + ExprString(pf.on[i])
 			}
-			jn := &PlanNode{Detail: detail}
-			if lExpr != nil {
+			jn := &PlanNode{Op: OpLoopJoin, Detail: detail}
+			if eq := a.joins[i]; eq != nil {
 				jn.Op = OpHashJoin
-				jn.Index = "hash(" + ExprString(rExpr) + ")"
-			} else {
-				jn.Op = OpLoopJoin
+				jn.Index = "hash(" + ExprString(eq.rKey) + ")"
+				if eq.index != nil {
+					jn.Index = "index " + ExprString(eq.rKey)
+				}
 			}
-			rscan := scanNode(j.Table.label(), jt)
+			rscan := scanNode(j.Table.label(), jt, a.lookups[i+1])
 			var rfilter *PlanNode
 			right := rscan
 			if pf.right[i] != nil {
@@ -386,21 +355,16 @@ func filterNode(pred Expr, child *PlanNode) *PlanNode {
 	return &PlanNode{Op: OpFilter, Detail: ExprString(pred), Children: []*PlanNode{child}}
 }
 
-// scanNode describes a full scan of one table, annotated with the hash
-// indexes that exist on it (execution may or may not use them; the join
-// operator reports the transient hash table it builds separately).
-func scanNode(label string, t *Table) *PlanNode {
+// scanNode describes the read of one table: every row, or under a point
+// lookup only the bucket's, which its bracket names and rows= counts.
+func scanNode(label string, t *Table, l *indexLookup) *PlanNode {
 	n := &PlanNode{Op: OpScan, Table: t.Name, EstRows: len(t.Rows)}
 	if !strings.EqualFold(label, t.Name) {
 		n.Detail = "as " + label
 	}
-	if len(t.indexes) > 0 {
-		var cols []string
-		for col := range t.indexes {
-			cols = append(cols, "hash("+strings.ToLower(t.Cols[col].Name)+")")
-		}
-		sort.Strings(cols)
-		n.Index = strings.Join(cols, ", ")
+	if l != nil {
+		n.EstRows = len(l.ids)
+		n.Index = "index " + strings.ToLower(t.Cols[l.col].Name) + " = " + litString(l.key)
 	}
 	return n
 }

@@ -34,35 +34,57 @@ func planOps(n *reldb.PlanNode) []string {
 func TestExplainPlanShape(t *testing.T) {
 	db := explainTestDB(t)
 	tests := []struct {
-		sql  string
-		want []string // pre-order op sequence
+		sql     string
+		want    []string // pre-order op sequence
+		indexes []string // the index brackets, in pre-order
 	}{
 		{"SELECT name FROM cities",
-			[]string{"project", "scan"}},
+			[]string{"project", "scan"}, nil},
 		{"SELECT name FROM cities WHERE pop > 200",
-			[]string{"project", "filter", "scan"}},
+			[]string{"project", "filter", "scan"}, nil},
 		{"SELECT DISTINCT country FROM cities ORDER BY country LIMIT 2",
-			[]string{"limit", "sort", "distinct", "project", "scan"}},
+			[]string{"limit", "sort", "distinct", "project", "scan"}, nil},
 		{"SELECT country, COUNT(*) FROM cities GROUP BY country",
-			[]string{"group", "scan"}},
+			[]string{"group", "scan"}, nil},
 		{"SELECT c.name FROM cities c JOIN links l ON l.src = c.id",
-			[]string{"project", "hash_join", "scan", "scan"}},
+			[]string{"project", "hash_join", "scan", "scan"}, []string{"hash(l.src)"}},
 		{"SELECT c.name FROM cities c JOIN links l ON l.src < c.id",
-			[]string{"project", "nested_loop_join", "scan", "scan"}},
+			[]string{"project", "nested_loop_join", "scan", "scan"}, nil},
 		// A WHERE conjunct on the FROM table filters its scan; the mixed
 		// one stays above the join.
 		{"SELECT c.name FROM cities c JOIN links l ON l.src = c.id WHERE c.pop > 200 AND l.dst > c.id",
-			[]string{"project", "filter", "hash_join", "filter", "scan", "scan"}},
+			[]string{"project", "filter", "hash_join", "filter", "scan", "scan"}, []string{"hash(l.src)"}},
 		// An ON conjunct on the joined table filters its rows before the
 		// hash build.
 		{"SELECT c.name FROM cities c JOIN links l ON l.src = c.id AND l.km < 1000",
-			[]string{"project", "hash_join", "scan", "filter", "scan"}},
+			[]string{"project", "hash_join", "scan", "filter", "scan"}, []string{"hash(l.src)"}},
 		// A WHERE conjunct on a LEFT-joined table stays above the join: it
 		// must see the NULL-padded rows.
 		{"SELECT c.name FROM cities c LEFT JOIN links l ON l.src = c.id WHERE l.km IS NULL",
-			[]string{"project", "filter", "hash_join", "scan", "scan"}},
+			[]string{"project", "filter", "hash_join", "scan", "scan"}, []string{"hash(l.src)"}},
 		{"SELECT 1+1",
-			[]string{"project", "values"}},
+			[]string{"project", "values"}, nil},
+		// Equality with a literal of the column's kind on an indexed
+		// column reads the index bucket; the pushed filter still runs.
+		{"SELECT name FROM cities WHERE id = 2 AND pop > 100",
+			[]string{"project", "filter", "scan"}, []string{"index id = 2"}},
+		// So does a WHERE conjunct pushed onto an INNER-joined table, whose
+		// rows the join then hashes.
+		{"SELECT l.km FROM links l JOIN cities c ON c.id = l.dst WHERE c.id = 3",
+			[]string{"project", "hash_join", "scan", "filter", "scan"}, []string{"hash(c.id)", "index id = 3"}},
+		// And a LEFT JOIN's ON conjunct on its own table.
+		{"SELECT l.km, c.name FROM links l LEFT JOIN cities c ON c.id = l.dst AND c.id = 4",
+			[]string{"project", "hash_join", "scan", "filter", "scan"}, []string{"hash(c.id)", "index id = 4"}},
+		// A whole joined table whose build column is indexed is probed
+		// through its stored index.
+		{"SELECT l.km, c.name FROM links l JOIN cities c ON c.id = l.src",
+			[]string{"project", "hash_join", "scan", "scan"}, []string{"index c.id"}},
+		// A literal of another kind is not the index's key: a full scan.
+		{"SELECT name FROM cities WHERE id = '2'",
+			[]string{"project", "filter", "scan"}, nil},
+		// TEXT = INTEGER keys would not agree with =: a nested loop.
+		{"SELECT c.name FROM cities c JOIN links l ON c.name = l.src",
+			[]string{"project", "nested_loop_join", "scan", "scan"}, nil},
 	}
 	for _, tc := range tests {
 		plan, err := db.Explain(tc.sql, false)
@@ -72,6 +94,15 @@ func TestExplainPlanShape(t *testing.T) {
 		got := planOps(plan)
 		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
 			t.Errorf("Explain(%q) ops = %v, want %v", tc.sql, got, tc.want)
+		}
+		var idx []string
+		plan.Walk(func(p *reldb.PlanNode, _ int) {
+			if p.Index != "" {
+				idx = append(idx, p.Index)
+			}
+		})
+		if strings.Join(idx, "|") != strings.Join(tc.indexes, "|") {
+			t.Errorf("Explain(%q) indexes = %q, want %q", tc.sql, idx, tc.indexes)
 		}
 		// Plain EXPLAIN must not execute: no actuals anywhere.
 		plan.Walk(func(p *reldb.PlanNode, _ int) {
@@ -118,6 +149,43 @@ func TestExplainAnalyzeActuals(t *testing.T) {
 	if got := byOp["limit"].Actual; got.RowsIn != 2 || got.RowsOut != 1 {
 		t.Errorf("limit in/out = %d/%d, want 2/1", got.RowsIn, got.RowsOut)
 	}
+
+	// A lookup reads only its bucket: city 1, which the filter keeps. The
+	// join probes links' stored index on src once, fetching city 1's two
+	// links, and the links scan counts those rows, not the table's four.
+	db.MustExec("CREATE INDEX ON links (src)")
+	plan, err = db.Explain("SELECT c.name, l.km FROM cities c JOIN links l ON l.src = c.id WHERE c.id = 1", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans []*reldb.PlanNode
+	byOp = map[string]*reldb.PlanNode{}
+	plan.Walk(func(p *reldb.PlanNode, _ int) {
+		byOp[p.Op] = p
+		if p.Op == "scan" {
+			scans = append(scans, p)
+		}
+	})
+	if len(scans) != 2 {
+		t.Fatalf("want two scans:\n%s", strings.Join(plan.Text(), "\n"))
+	}
+	for _, c := range []struct {
+		name           string
+		node           *reldb.PlanNode
+		index          string
+		in, out, loops int
+	}{
+		{"cities scan", scans[0], "index id = 1", 1, 1, 1},
+		{"filter", byOp["filter"], "", 1, 1, 1},
+		{"hash_join", byOp["hash_join"], "index l.src", 1, 2, 1},
+		{"links scan", scans[1], "", 2, 2, 1},
+	} {
+		got := c.node.Actual
+		if c.node.Index != c.index || got.RowsIn != c.in || got.RowsOut != c.out || got.Loops != c.loops {
+			t.Errorf("%s: [%s] in/out/loops = %d/%d/%d, want [%s] %d/%d/%d", c.name,
+				c.node.Index, got.RowsIn, got.RowsOut, got.Loops, c.index, c.in, c.out, c.loops)
+		}
+	}
 }
 
 func TestExplainAnalyzeMatchesExecution(t *testing.T) {
@@ -138,18 +206,34 @@ func TestExplainAnalyzeMatchesExecution(t *testing.T) {
 
 func TestExplainThroughQuery(t *testing.T) {
 	db := explainTestDB(t)
-	rows, err := db.Query("EXPLAIN ANALYZE SELECT name FROM cities WHERE country = 'US'")
-	if err != nil {
-		t.Fatal(err)
+	render := func(sql string) string {
+		t.Helper()
+		rows, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows.Columns) != 1 || rows.Columns[0] != "plan" {
+			t.Fatalf("columns = %v, want [plan]", rows.Columns)
+		}
+		text := ""
+		for _, r := range rows.Rows {
+			text += r[0].String() + "\n"
+		}
+		return text
 	}
-	if len(rows.Columns) != 1 || rows.Columns[0] != "plan" {
-		t.Fatalf("columns = %v, want [plan]", rows.Columns)
+	// cities has an index on id only: a filter on country reads every row
+	// and names no index.
+	text := render("EXPLAIN ANALYZE SELECT name FROM cities WHERE country = 'US'")
+	for _, want := range []string{"project", "filter (country = 'US')", "scan cities rows=4 (actual:", "actual:"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("rendered plan missing %q:\n%s", want, text)
+		}
 	}
-	text := ""
-	for _, r := range rows.Rows {
-		text += r[0].String() + "\n"
+	if strings.Contains(text, "[") {
+		t.Errorf("a full scan names an index:\n%s", text)
 	}
-	for _, want := range []string{"project", "filter (country = 'US')", "scan cities", "actual:", "[hash(id)]"} {
+	text = render("EXPLAIN ANALYZE SELECT name FROM cities WHERE id = 2")
+	for _, want := range []string{"filter (id = 2)", "scan cities rows=1 [index id = 2] (actual: in=1 out=1"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered plan missing %q:\n%s", want, text)
 		}

@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -77,8 +76,8 @@ type filterPlacement struct {
 // LEFT-joined table (a filter there would keep the NULL-padded rows it
 // should drop), ON conjuncts on an earlier table, and conjuncts that are
 // mixed, constant, unresolvable or able to fail. Both the executor and
-// the planner call this on every execution, against the tables current
-// then, so the plan shown is the plan run.
+// the planner call this through planAccess on every execution, against
+// the tables current then, so the plan shown is the plan run.
 func placeFilters(s *SelectStmt, f *fromClause) filterPlacement {
 	var pf filterPlacement
 	if len(s.Joins) > 0 {
@@ -163,7 +162,7 @@ func (f *fromClause) movable(e Expr, sch *schema, k *int) bool {
 		if err != nil {
 			return false
 		}
-		t := sort.SearchInts(f.ends, pos+1)
+		t := f.tableAt(pos)
 		if *k >= 0 && *k != t {
 			return false
 		}

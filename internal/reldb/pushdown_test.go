@@ -124,8 +124,10 @@ type tableRef struct {
 }
 
 // queryGen writes random SELECTs over oracleTables. Every query it writes
-// is valid and cannot fail: columns resolve, arithmetic and ABS see only
-// integer columns, and text values are never numeric.
+// is valid and cannot fail: columns resolve, and arithmetic and ABS see
+// only integer columns. Some text values and literals look numeric ('1',
+// '01', ' 2'), which = coerces equal to an integer column's 1 or 2 but
+// which are not that integer's index or hash key.
 type queryGen struct{ r *rand.Rand }
 
 func (g *queryGen) intLit() string {
@@ -133,8 +135,11 @@ func (g *queryGen) intLit() string {
 }
 
 func (g *queryGen) textLit() string {
-	return []string{"'x'", "'y'", "'xy'", "''", "NULL"}[g.r.Intn(5)]
+	return []string{"'x'", "'y'", "'xy'", "''", "'1'", "'01'", "' 2'", "NULL"}[g.r.Intn(8)]
 }
+
+// oracleTexts are the text values the tables hold.
+var oracleTexts = []string{"x", "y", "xy", "", "1", "01", " 2"}
 
 func (g *queryGen) lit(text bool) string {
 	if g.r.Intn(8) == 0 {
@@ -243,11 +248,35 @@ func (g *queryGen) pred(scope []tableRef, depth int) string {
 	}
 }
 
-// conjunction joins one to three predicates with top-level ANDs.
+// eq is column = literal, in either order, on one table's column: the
+// conjunct an index lookup answers. One time in three the literal is of
+// the other type.
+func (g *queryGen) eq(scope []tableRef) string {
+	i := g.r.Intn(len(scope))
+	c, text := g.column(scope[i:i+1], scope)
+	lit := g.intLit()
+	if text != (g.r.Intn(3) == 0) {
+		lit = g.textLit()
+	}
+	if g.r.Intn(2) == 0 {
+		return lit + " = " + c
+	}
+	return c + " = " + lit
+}
+
+// conjunct is a predicate, or one time in three an eq.
+func (g *queryGen) conjunct(scope []tableRef, depth int) string {
+	if g.r.Intn(3) == 0 {
+		return g.eq(scope)
+	}
+	return g.pred(scope, depth)
+}
+
+// conjunction joins one to three conjuncts with top-level ANDs.
 func (g *queryGen) conjunction(scope []tableRef) string {
 	parts := make([]string, 1+g.r.Intn(3))
 	for i := range parts {
-		parts[i] = "(" + g.pred(scope, 2) + ")"
+		parts[i] = "(" + g.conjunct(scope, 2) + ")"
 	}
 	return strings.Join(parts, " AND ")
 }
@@ -289,11 +318,17 @@ func (g *queryGen) query() oracleQuery {
 		scope = append(scope, rf)
 		var on []string
 		if g.r.Intn(10) < 7 {
+			// An equi-join on k, or on two columns that may differ in type.
 			l := left[g.r.Intn(len(left))]
-			on = append(on, fmt.Sprintf("%s.k = %s.k", l.label, rf.label))
+			lc, rc := "k", "k"
+			if g.r.Intn(3) == 0 {
+				lc = oracleTables[l.table].cols[g.r.Intn(3)].name
+				rc = oracleTables[rf.table].cols[g.r.Intn(3)].name
+			}
+			on = append(on, fmt.Sprintf("%s.%s = %s.%s", l.label, lc, rf.label, rc))
 		}
 		for m := g.r.Intn(3); m > 0 || len(on) == 0; m-- {
-			on = append(on, "("+g.pred(scope, 1)+")")
+			on = append(on, "("+g.conjunct(scope, 1)+")")
 		}
 		kind := " JOIN "
 		if g.r.Intn(2) == 0 {
@@ -391,7 +426,8 @@ func checkOracles(t *testing.T, db *reldb.DB, oq oracleQuery) {
 	}
 
 	// Nothing moved: with WHERE and every ON wrapped in COALESCE, no
-	// conjunct is pushed and no hash join is chosen; rows and order match.
+	// conjunct is pushed, so no index is read, and no hash join is chosen;
+	// rows and order match.
 	whole := oq.p
 	if oq.q != "" {
 		whole = oq.q + " AND (" + oq.p + ")"
@@ -404,7 +440,8 @@ func checkOracles(t *testing.T, db *reldb.DB, oq oracleQuery) {
 }
 
 // oracleDB fills the three tables with zero to six rows each, a fifth of
-// the values NULL.
+// the values NULL, and gives each column a hash index half the time,
+// created before or after the rows go in.
 func oracleDB(t *testing.T, r *rand.Rand) *reldb.DB {
 	db := reldb.New()
 	for _, tb := range oracleTables {
@@ -417,6 +454,18 @@ func oracleDB(t *testing.T, r *rand.Rand) *reldb.DB {
 			defs = append(defs, c.name+" "+typ)
 		}
 		db.MustExec("CREATE TABLE " + tb.name + " (" + strings.Join(defs, ", ") + ")")
+		var indexes []string
+		for _, c := range tb.cols {
+			if r.Intn(2) == 0 {
+				indexes = append(indexes, "CREATE INDEX ON "+tb.name+" ("+c.name+")")
+			}
+		}
+		early := r.Intn(2) == 0
+		if early {
+			for _, ddl := range indexes {
+				db.MustExec(ddl)
+			}
+		}
 		var rows [][]reldb.Value
 		for i := r.Intn(7); i > 0; i-- {
 			row := make([]reldb.Value, len(tb.cols))
@@ -425,7 +474,7 @@ func oracleDB(t *testing.T, r *rand.Rand) *reldb.DB {
 				case r.Intn(5) == 0:
 					row[j] = reldb.Null
 				case c.text:
-					row[j] = reldb.Text([]string{"x", "y", "xy", ""}[r.Intn(4)])
+					row[j] = reldb.Text(oracleTexts[r.Intn(len(oracleTexts))])
 				default:
 					row[j] = reldb.Int(int64(r.Intn(4)))
 				}
@@ -435,14 +484,21 @@ func oracleDB(t *testing.T, r *rand.Rand) *reldb.DB {
 		if err := db.BulkInsert(tb.name, rows); err != nil {
 			t.Fatal(err)
 		}
+		if !early {
+			for _, ddl := range indexes {
+				db.MustExec(ddl)
+			}
+		}
 	}
 	return db
 }
 
-// FuzzPushdownOracles checks filter placement on generated 1-3 table
-// SELECTs (INNER and LEFT JOINs, aliased self-joins, single-table, mixed
-// and constant predicates, NULLs) with NoREC and TLP, and against the same
-// query with nothing pushed. Each input seeds one database and 30 queries;
+// FuzzPushdownOracles checks filter placement, index lookups and hash
+// joins on generated 1-3 table SELECTs (INNER and LEFT JOINs, aliased
+// self-joins, single-table, mixed and constant predicates, NULLs, indexed
+// columns, numeric-looking text) with NoREC and TLP, and against the same
+// query with nothing pushed, no index read and no hash join. Each input
+// seeds one database and 30 queries;
 // the committed corpus in testdata/fuzz/FuzzPushdownOracles runs with every
 // go test, and go test -fuzz FuzzPushdownOracles searches further.
 func FuzzPushdownOracles(f *testing.F) {
