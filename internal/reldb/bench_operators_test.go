@@ -59,6 +59,17 @@ func operatorCases(tb testing.TB) []operatorCase {
 	factsByASN.MustExec(`CREATE INDEX ON facts (asn)`)
 	dimByASN := benchOpDB(tb, factRows, dimRows)
 	dimByASN.MustExec(`CREATE INDEX ON dim (asn)`)
+	named := benchOpDB(tb, factRows, dimRows)
+	named.MustExec(`CREATE TABLE names (asn INTEGER, name TEXT, source TEXT)`)
+	names := make([][]Value, 0, 2*dimRows)
+	for i := 0; i < dimRows; i++ {
+		names = append(names,
+			[]Value{Int(int64(i)), Text(fmt.Sprintf("AS%d", i)), Text("asrank")},
+			[]Value{Int(int64(i)), Text(fmt.Sprintf("ORG%d", i)), Text("peeringdb")})
+	}
+	if err := named.BulkInsert("names", names); err != nil {
+		tb.Fatal(err)
+	}
 	return []operatorCase{
 		{"Scan", db, `SELECT asn FROM facts`, factRows, 40},
 		{"Filter", db, `SELECT asn FROM facts WHERE v < 0.1 AND country != 'C0'`, factRows, 60},
@@ -68,15 +79,23 @@ func operatorCases(tb testing.TB) []operatorCase {
 		{"Sort", db, `SELECT asn FROM facts ORDER BY v DESC`, factRows, 40},
 		{"IndexLookup", factsByASN, `SELECT asn FROM facts WHERE asn = 7`, factRows / dimRows, 40},
 		{"IndexJoin", dimByASN, `SELECT f.asn FROM facts f JOIN dim d ON d.asn = f.asn`, factRows, 20200},
+		// Table 2's shape: two filtered equi-joins, then grouping, a
+		// DISTINCT count, ORDER BY an aggregate's alias and LIMIT.
+		{"GroupJoinOrder", named, `SELECT f.asn, MIN(n.name) AS name, MIN(o.name) AS org, COUNT(DISTINCT f.metro) AS metros
+			FROM facts f
+			JOIN names n ON n.asn = f.asn AND n.source = 'asrank'
+			JOIN names o ON o.asn = f.asn AND o.source = 'peeringdb'
+			GROUP BY f.asn ORDER BY metros DESC, f.asn LIMIT 11`, factRows, 90400},
 	}
 }
 
 // TestOperatorAllocBudgets holds each BenchmarkOperators query, plus one
-// DISTINCT, to its allocation budget. Measured counts: Scan 19, Filter 36
-// (1,940 output rows), HashJoin 24,062 (one joined row per output row),
-// NestedLoopJoin 40,052, Group 518, Sort 23, IndexLookup 28 (a bucket of
-// 10 rows), IndexJoin 20,053 (HashJoin without its hash table), Distinct
-// 132; -race adds at most a few.
+// DISTINCT, to its allocation budget. Measured counts: Scan 22, Filter 49
+// (1,940 output rows), HashJoin 24,073 (one joined row per output row),
+// NestedLoopJoin 40,063, Group 492, Sort 27, IndexLookup 35 (a bucket of
+// 10 rows), IndexJoin 20,064 (HashJoin without its hash table),
+// GroupJoinOrder 90,228 (40,000 joined rows, and per group its rows and
+// its DISTINCT set), Distinct 130; -race adds at most a few.
 func TestOperatorAllocBudgets(t *testing.T) {
 	cases := operatorCases(t)
 	cases = append(cases, operatorCase{"Distinct", cases[0].db, `SELECT DISTINCT country FROM facts`, 20000, 200})

@@ -231,23 +231,19 @@ func (pl *selectPlan) scannedRight(i int, st OpStats) {
 	pl.rscans[i].Actual = &st
 }
 
-// planSelect builds the static plan tree for a SELECT. The caller must hold
-// db.mu (shared is enough). It renders the executor's own decisions, from
-// planAccess, so EXPLAIN never lies about what execution would do: where
-// each filter runs, which scans are index lookups, and how each join runs.
-func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
-	a, err := db.planAccess(s)
-	if err != nil {
-		return nil, err
-	}
-	from, pf := a.from, a.pf
+// planSelect builds the static plan tree of a bound SELECT. It renders
+// the executor's own decisions, from the bound tree, so EXPLAIN never
+// lies about what execution would do: where each filter runs, which scans
+// are index lookups, and how each join runs.
+func planSelect(b *boundSelect) *selectPlan {
+	s, from, pf := b.s, b.from, &b.pf
 	pl := &selectPlan{}
 	var cur *PlanNode
 	if s.From == nil {
 		cur = &PlanNode{Op: OpValues, Detail: "one synthetic row", EstRows: 1}
 		pl.scan = cur
 	} else {
-		cur = scanNode(s.From.label(), from.tables[0], a.lookups[0])
+		cur = scanNode(s.From.label(), from.tables[0], b.lookups[0])
 		pl.scan = cur
 		if pf.scan != nil {
 			pl.scanFilter = filterNode(pf.scan, cur)
@@ -263,14 +259,14 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 				detail += " on " + ExprString(pf.on[i])
 			}
 			jn := &PlanNode{Op: OpLoopJoin, Detail: detail}
-			if eq := a.joins[i]; eq != nil {
+			if eq := b.joins[i]; eq != nil {
 				jn.Op = OpHashJoin
 				jn.Index = "hash(" + ExprString(eq.rKey) + ")"
 				if eq.index != nil {
 					jn.Index = "index " + ExprString(eq.rKey)
 				}
 			}
-			rscan := scanNode(j.Table.label(), jt, a.lookups[i+1])
+			rscan := scanNode(j.Table.label(), jt, b.lookups[i+1])
 			var rfilter *PlanNode
 			right := rscan
 			if pf.right[i] != nil {
@@ -290,18 +286,11 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		cur = pl.filter
 	}
 
-	items, err := expandStars(s.Items, from.sch)
-	if err != nil {
-		return nil, err
-	}
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items) ||
-		(len(s.OrderBy) > 0 && anyAggregateOrder(s.OrderBy))
-
 	var names []string
-	for _, it := range items {
+	for _, it := range b.items {
 		names = append(names, itemName(it))
 	}
-	if grouped {
+	if b.grouped {
 		detail := "by: all rows"
 		if len(s.GroupBy) > 0 {
 			detail = "by: " + exprListString(s.GroupBy)
@@ -347,7 +336,7 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		cur = pl.limit
 	}
 	pl.root = cur
-	return pl, nil
+	return pl
 }
 
 // filterNode keeps the rows of child on which pred is true.
@@ -375,12 +364,13 @@ func scanNode(label string, t *Table, l *indexLookup) *PlanNode {
 func (db *DB) explainLocked(ex *ExplainStmt) (*PlanNode, error) {
 	switch inner := ex.Stmt.(type) {
 	case *SelectStmt:
-		pl, err := db.planSelect(inner)
+		b, err := db.bind(inner)
 		if err != nil {
 			return nil, err
 		}
+		pl := planSelect(b)
 		if ex.Analyze {
-			if _, err := db.execSelectPlan(inner, pl); err != nil {
+			if _, err := execSelectPlan(b, pl); err != nil {
 				return nil, err
 			}
 		}

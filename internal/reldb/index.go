@@ -2,46 +2,6 @@ package reldb
 
 import "sort"
 
-// access is every decision about how a SELECT reads its tables: where
-// each filter runs (placeFilters), which pushed filters read one bucket of
-// a stored hash index instead of the whole table, and how each join runs.
-// The executor and the planner both get it from planAccess on every
-// execution, against the tables current then, so EXPLAIN shows what runs.
-type access struct {
-	from    *fromClause
-	pf      filterPlacement
-	lookups []*indexLookup // per table, FROM first; nil reads the whole table
-	joins   []*equiJoin    // per join; nil runs a nested loop
-}
-
-// planAccess resolves s's tables, places its filters and chooses each
-// table's read and each join's strategy. The caller holds db.mu (shared is
-// enough).
-func (db *DB) planAccess(s *SelectStmt) (access, error) {
-	from, err := db.resolveFrom(s)
-	if err != nil {
-		return access{}, err
-	}
-	a := access{from: from, pf: placeFilters(s, from), lookups: make([]*indexLookup, len(from.tables))}
-	for k, t := range from.tables {
-		pushed := a.pf.scan
-		if k > 0 {
-			pushed = a.pf.right[k-1]
-		}
-		a.lookups[k] = lookupFor(pushed, from.only(k), t)
-	}
-	for i := range s.Joins {
-		eq := equiJoinPair(a.pf.on[i], from, i)
-		if eq != nil && a.pf.right[i] == nil {
-			// The join reads the whole table, so the table's own index on
-			// the build column is the hash table a build would make.
-			eq.index = from.tables[i+1].indexes[eq.rCol]
-		}
-		a.joins = append(a.joins, eq)
-	}
-	return a, nil
-}
-
 // indexLookup is a point lookup: the rows of one stored hash index bucket,
 // those whose column col holds key.
 type indexLookup struct {

@@ -890,7 +890,7 @@ func (p *parser) unary() (Expr, error) {
 	return p.primary()
 }
 
-var aggregateFns = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
+var aggregateFns = map[string]aggFn{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
 
 func (p *parser) primary() (Expr, error) {
 	t := p.cur()
@@ -998,7 +998,7 @@ func hasAggregate(e Expr) bool {
 	case nil:
 		return false
 	case *Call:
-		if aggregateFns[x.Fn] {
+		if _, ok := aggregateFns[x.Fn]; ok {
 			return true
 		}
 		for _, a := range x.Args {

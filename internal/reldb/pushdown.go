@@ -75,9 +75,10 @@ type filterPlacement struct {
 // Everything else stays where the SQL put it: WHERE conjuncts on a
 // LEFT-joined table (a filter there would keep the NULL-padded rows it
 // should drop), ON conjuncts on an earlier table, and conjuncts that are
-// mixed, constant, unresolvable or able to fail. Both the executor and
-// the planner call this through planAccess on every execution, against
-// the tables current then, so the plan shown is the plan run.
+// mixed, constant, unresolvable or able to fail. The bind pass calls
+// this on every execution, against the tables current then, and both the
+// executor and the planner read its result, so the plan shown is the plan
+// run.
 func placeFilters(s *SelectStmt, f *fromClause) filterPlacement {
 	var pf filterPlacement
 	if len(s.Joins) > 0 {
