@@ -626,15 +626,19 @@ func cdfSVG(sortedCounts []int) []byte {
 		if maxX <= 0 {
 			maxX = 1
 		}
-		var pts []string
+		pts := []byte(`<polyline points="`)
 		for i, n := range sortedCounts {
 			fx := math.Log10(float64(n)+1) / maxX
 			fy := float64(i+1) / float64(len(sortedCounts))
 			x := pad + fx*float64(w-2*pad)
 			y := float64(h-pad) - fy*float64(h-2*pad)
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", x, y))
+			if i > 0 {
+				pts = append(pts, ' ')
+			}
+			pts = render.AppendPoint(pts, x, y)
 		}
-		fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="#2980b9" stroke-width="1.5"/>`, strings.Join(pts, " "))
+		b.Write(pts)
+		b.WriteString(`" fill="none" stroke="#2980b9" stroke-width="1.5"/>`)
 	}
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="12" font-family="sans-serif">Number of Nodes (log)</text>`, w/2-60, h-14)
 	fmt.Fprintf(&b, `<text x="6" y="%d" font-size="12" font-family="sans-serif" transform="rotate(-90 14 %d)">Percent of Cities</text>`, h/2, h/2)

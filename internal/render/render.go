@@ -7,6 +7,8 @@ package render
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"igdb/internal/geo"
@@ -23,26 +25,65 @@ type Style struct {
 	Dash        string  // SVG stroke-dasharray, "" = solid
 }
 
-func (s Style) attrs() string {
-	var b strings.Builder
+// appendAttrs appends the style's SVG attributes to b.
+func (s Style) appendAttrs(b []byte) []byte {
 	if s.Stroke != "" {
-		fmt.Fprintf(&b, ` stroke="%s"`, s.Stroke)
+		b = append(append(append(b, ` stroke="`...), s.Stroke...), '"')
 	}
 	if s.StrokeWidth > 0 {
-		fmt.Fprintf(&b, ` stroke-width="%.2f"`, s.StrokeWidth)
+		b = append(AppendFixed(append(b, ` stroke-width="`...), s.StrokeWidth, 2), '"')
 	}
 	if s.Fill != "" {
-		fmt.Fprintf(&b, ` fill="%s"`, s.Fill)
+		b = append(append(append(b, ` fill="`...), s.Fill...), '"')
 	} else {
-		b.WriteString(` fill="none"`)
+		b = append(b, ` fill="none"`...)
 	}
 	if s.Opacity > 0 && s.Opacity < 1 {
-		fmt.Fprintf(&b, ` opacity="%.2f"`, s.Opacity)
+		b = append(AppendFixed(append(b, ` opacity="`...), s.Opacity, 2), '"')
 	}
 	if s.Dash != "" {
-		fmt.Fprintf(&b, ` stroke-dasharray="%s"`, s.Dash)
+		b = append(append(append(b, ` stroke-dasharray="`...), s.Dash...), '"')
 	}
-	return b.String()
+	return b
+}
+
+// pow10 holds the scales AppendFixed rounds at.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// AppendFixed appends v as fmt's %.<prec>f writes it, byte for byte, for
+// prec 0 to 6. fmt and strconv write every fixed-precision float through
+// strconv's multiprecision path. Here v is scaled by 10^prec and rounded
+// in float64 instead; that rounding errs by less than 2.5e-7 below 2^31,
+// so it gives strconv's digits unless the scaled value lies within 1e-6
+// of a tie. Those, NaN, ±Inf and magnitudes from 2^31/10^prec up go to
+// strconv. A negative value that rounds to zero keeps its sign, as fmt
+// writes -0.0.
+func AppendFixed(dst []byte, v float64, prec int) []byte {
+	scaled := math.Abs(v) * pow10[prec]
+	whole := math.Floor(scaled)
+	frac := scaled - whole
+	if !(scaled < 1<<31) || math.Abs(frac-0.5) < 1e-6 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	n := int64(whole)
+	if frac > 0.5 {
+		n++
+	}
+	if math.Signbit(v) {
+		dst = append(dst, '-')
+	}
+	var digits [16]byte
+	i := len(digits)
+	for d := 0; d <= prec || n > 0; d++ {
+		if d == prec && prec > 0 {
+			i--
+			digits[i] = '.'
+		}
+		i--
+		digits[i] = byte('0' + n%10)
+		n /= 10
+	}
+	return append(dst, digits[i:]...)
 }
 
 // Map accumulates drawable layers over a geographic bounding box.
@@ -78,19 +119,7 @@ func (m *Map) Polyline(pts []geo.Point, st Style) {
 	if len(pts) < 2 {
 		return
 	}
-	var b strings.Builder
-	b.WriteString(`<polyline points="`)
-	for i, p := range pts {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		x, y := m.project(p)
-		fmt.Fprintf(&b, "%.1f,%.1f", x, y)
-	}
-	b.WriteString(`"`)
-	b.WriteString(st.attrs())
-	b.WriteString("/>")
-	m.elements = append(m.elements, b.String())
+	m.points(`<polyline points="`, pts, st)
 }
 
 // Polygon draws a closed ring.
@@ -98,19 +127,28 @@ func (m *Map) Polygon(ring []geo.Point, st Style) {
 	if len(ring) < 3 {
 		return
 	}
-	var b strings.Builder
-	b.WriteString(`<polygon points="`)
-	for i, p := range ring {
+	m.points(`<polygon points="`, ring, st)
+}
+
+// points adds the element that open starts, with pts projected as its
+// "x,y x,y ..." points attribute.
+func (m *Map) points(open string, pts []geo.Point, st Style) {
+	b := make([]byte, 0, len(open)+12*len(pts)+64)
+	b = append(b, open...)
+	for i, p := range pts {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
 		x, y := m.project(p)
-		fmt.Fprintf(&b, "%.1f,%.1f", x, y)
+		b = AppendPoint(b, x, y)
 	}
-	b.WriteString(`"`)
-	b.WriteString(st.attrs())
-	b.WriteString("/>")
-	m.elements = append(m.elements, b.String())
+	b = append(st.appendAttrs(append(b, '"')), "/>"...)
+	m.elements = append(m.elements, string(b))
+}
+
+// AppendPoint appends x,y with one decimal each, as fmt's "%.1f,%.1f".
+func AppendPoint(dst []byte, x, y float64) []byte {
+	return AppendFixed(append(AppendFixed(dst, x, 1), ','), y, 1)
 }
 
 // Circle draws a fixed-pixel-radius marker at a location.
@@ -120,8 +158,12 @@ func (m *Map) Circle(p geo.Point, st Style) {
 	if r <= 0 {
 		r = 2
 	}
-	m.elements = append(m.elements,
-		fmt.Sprintf(`<circle cx="%.1f" cy="%.1f" r="%.1f"%s/>`, x, y, r, st.attrs()))
+	b := make([]byte, 0, 96)
+	b = AppendFixed(append(b, `<circle cx="`...), x, 1)
+	b = AppendFixed(append(b, `" cy="`...), y, 1)
+	b = AppendFixed(append(b, `" r="`...), r, 1)
+	b = append(st.appendAttrs(append(b, '"')), "/>"...)
+	m.elements = append(m.elements, string(b))
 }
 
 // Text places a label at a location.
@@ -130,9 +172,13 @@ func (m *Map) Text(p geo.Point, label string, size int) {
 	if size <= 0 {
 		size = 10
 	}
-	m.elements = append(m.elements,
-		fmt.Sprintf(`<text x="%.1f" y="%.1f" font-size="%d" font-family="sans-serif">%s</text>`,
-			x, y, size, escape(label)))
+	b := make([]byte, 0, 96+len(label))
+	b = AppendFixed(append(b, `<text x="`...), x, 1)
+	b = AppendFixed(append(b, `" y="`...), y, 1)
+	b = strconv.AppendInt(append(b, `" font-size="`...), int64(size), 10)
+	b = append(b, `" font-family="sans-serif">`...)
+	b = append(append(b, escape(label)...), "</text>"...)
+	m.elements = append(m.elements, string(b))
 }
 
 // Geometry draws any WKT geometry with one style.

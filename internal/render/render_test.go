@@ -2,6 +2,9 @@ package render
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -125,5 +128,52 @@ func TestGeoJSONRejectsEmptyGeometry(t *testing.T) {
 	g := wkt.Geometry{Kind: wkt.Kind(99)}
 	if err := fc.Add(g, nil); err == nil {
 		t.Error("unsupported kind should fail")
+	}
+}
+
+// AppendFixed writes exactly fmt's bytes: on exact binary ties (0.25,
+// 2.5), on decimal near-ties that carry (9.95, 99.95), on tiny negatives
+// that round to -0, on huge and non-finite values, and on a million random
+// values of each kind at one and two decimals.
+func TestAppendFixedMatchesFmt(t *testing.T) {
+	check := func(v float64) {
+		for prec := 0; prec <= 3; prec++ {
+			want := fmt.Sprintf("%.*f", prec, v)
+			if got := string(AppendFixed(nil, v, prec)); got != want {
+				t.Fatalf("AppendFixed(%v (%b), %d) = %q, fmt %q", v, math.Float64bits(v), prec, got, want)
+			}
+		}
+	}
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 0.25, 2.5, -2.5, 0.125, 0.375, 1.5, 0.05, 0.15, -0.05,
+		9.95, 99.95, 999.95, -9.95, 0.995, 9.995, 1e-300, -1e-300, -0.04, -0.004, 5e-324,
+		1 << 31, 1<<31 - 0.05, 214748364.75, 21474836.45, 2147483.645, 1e15, 1e300, -1e300,
+		math.MaxFloat64, -math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		check(v)
+		check(math.Nextafter(v, math.Inf(1)))
+		check(math.Nextafter(v, math.Inf(-1)))
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		var v float64
+		switch i % 5 {
+		case 0: // an SVG coordinate
+			v = r.Float64()*2000 - 500
+		case 1: // a tie or near-tie at one or two decimals
+			v = float64(r.Intn(2_000_000)-1_000_000) / []float64{20, 200}[r.Intn(2)]
+		case 2: // small, often rounding to zero
+			v = (r.Float64() - 0.5) * 0.02
+		case 3: // any magnitude
+			v = math.Ldexp(r.Float64()-0.5, r.Intn(80)-20)
+		default: // any bit pattern
+			v = math.Float64frombits(r.Uint64())
+		}
+		for _, prec := range []int{1, 2} {
+			want := fmt.Sprintf("%.*f", prec, v)
+			if got := string(AppendFixed(nil, v, prec)); got != want {
+				t.Fatalf("AppendFixed(%v (%b), %d) = %q, fmt %q", v, math.Float64bits(v), prec, got, want)
+			}
+		}
 	}
 }
