@@ -20,7 +20,8 @@ var ErrNotSelect = errors.New("reldb: statement is not a SELECT")
 // without re-parsing. Statements are bound to the DB that prepared them.
 //
 // A Stmt sees the table contents current at each Query call, not at Prepare
-// time; it is a cached plan, not a snapshot.
+// time: it caches the parse, and each Query binds it against the tables
+// current then. It is not a snapshot.
 type Stmt struct {
 	db      *DB
 	sel     *SelectStmt
