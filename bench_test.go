@@ -21,6 +21,7 @@ import (
 	"igdb/internal/experiments"
 	"igdb/internal/geo"
 	"igdb/internal/ingest"
+	"igdb/internal/obs"
 	"igdb/internal/risk"
 	"igdb/internal/server"
 	"igdb/internal/worldgen"
@@ -267,7 +268,7 @@ func BenchmarkServeSQLThroughput(b *testing.B) {
 			srv, err := server.New(server.Config{
 				Store:     serveBenchStore(b),
 				CacheSize: bc.cacheSize,
-				Logf:      func(string, ...interface{}) {},
+				Logger:    obs.New(io.Discard),
 			})
 			if err != nil {
 				b.Fatal(err)

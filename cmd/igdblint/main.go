@@ -8,9 +8,10 @@
 // paths (leakcheck), closers are closed on every path (closecheck),
 // unexported functions are reachable in the project call graph
 // (callgraph), snapshot state is never written after its atomic-pointer
-// publish (snapshotsafe), blocking operations thread a context.Context
-// (contextcheck), and every //lint:ignore suppresses something
-// (directive).
+// publish (snapshotsafe), and every //lint:ignore suppresses something
+// (directive). Goroutine lifetimes are gated at run time instead:
+// internal/leakgate fails a package whose tests leave its goroutines
+// running.
 //
 // Usage:
 //

@@ -5,7 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"igdb/internal/leakgate"
 )
+
+// TestMain fails the package when its tests leave goroutines running
+// its code.
+func TestMain(m *testing.M) { leakgate.Main(m, "igdb/internal/graph") }
 
 // diamond builds:
 //

@@ -276,12 +276,9 @@ type CollectOptions struct {
 	// an error to inject a fault (chaos.FlakySources builds these).
 	// Transient errors are retried; permanent ones are not.
 	Intercept func(source string, attempt int) error
-	// Logger receives structured retry/give-up records. When nil it is
-	// derived from Logf; when both are nil collection is silent.
+	// Logger receives structured retry/give-up records. When nil
+	// collection is silent.
 	Logger *obs.Logger
-	// Logf is the legacy printf sink, bridged into Logger when Logger is
-	// unset.
-	Logf func(format string, args ...interface{})
 	// Trace, when set, records one span per source with attempt/byte
 	// attributes under it.
 	Trace *obs.Span
@@ -296,9 +293,6 @@ func (o *CollectOptions) fillDefaults() {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 5 * time.Second
-	}
-	if o.Logger == nil && o.Logf != nil {
-		o.Logger = obs.NewCallback(o.Logf)
 	}
 }
 

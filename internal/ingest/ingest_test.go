@@ -4,8 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"igdb/internal/leakgate"
 	"igdb/internal/worldgen"
 )
+
+// TestMain fails the package when its tests leave goroutines running
+// its code.
+func TestMain(m *testing.M) { leakgate.Main(m, "igdb/internal/ingest") }
 
 var world = worldgen.Generate(worldgen.SmallConfig())
 
@@ -52,9 +57,21 @@ func TestLatestAsOfSelection(t *testing.T) {
 	if err != nil || !snap.AsOf.Equal(ts(1)) {
 		t.Errorf("as-of day 5 = %v, err=%v; want day 1", snap.AsOf, err)
 	}
-	// Before the first snapshot: error.
-	if _, err := store.Latest("atlas", ts(1).Add(-time.Hour)); err == nil {
-		t.Error("as-of before any snapshot should fail")
+	// Before the first snapshot: error. This is the only call that takes
+	// that path, so it runs in a goroutine: a lock taken twice there fails
+	// the test in seconds instead of hanging to the package -timeout.
+	done := make(chan error, 1)
+	go func() {
+		_, err := store.Latest("atlas", ts(1).Add(-time.Hour))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("as-of before any snapshot should fail")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Latest before any snapshot still running after 5s")
 	}
 	// Unknown source: error.
 	if _, err := store.Latest("nope", time.Time{}); err == nil {

@@ -1,12 +1,13 @@
 package lint
 
 // callgraph.go builds the project-wide call graph the interprocedural
-// analyzers (snapshotsafe, contextcheck, and the callgraph dead-code rule)
-// consume. Nodes are declared functions and methods of the loaded
-// packages, every function literal (attributed to its enclosing
-// declaration), and the external functions the project calls (stdlib and
-// dependency objects from export data, e.g. time.Sleep). Edges come in
-// four kinds:
+// analyzers (snapshotsafe and the callgraph dead-code rule) consume;
+// goroutines that outlive their owner are left to the tests' runtime
+// gate, internal/leakgate. Nodes are declared functions and methods of
+// the loaded packages, every function literal (attributed to its
+// enclosing declaration), and the external functions the project calls
+// (stdlib and dependency objects from export data, e.g. time.Sleep).
+// Edges come in four kinds:
 //
 //   - static: direct calls to a function, method, or immediately-invoked
 //     literal, resolved through go/types;
@@ -101,10 +102,6 @@ type CGNode struct {
 // Name returns the qualified display name: pkg.Func, pkg.(*T).Method, or
 // pkg.Func$N for the N'th literal inside Func.
 func (n *CGNode) Name() string { return n.name }
-
-// External reports whether the node has no analyzable body (a function
-// from outside the loaded packages).
-func (n *CGNode) External() bool { return n.Decl == nil && n.Lit == nil }
 
 // Body returns the node's function body, nil for external nodes.
 func (n *CGNode) Body() *ast.BlockStmt {

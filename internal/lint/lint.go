@@ -112,7 +112,6 @@ func NewLinter() *Linter {
 		newCloseCheck(),
 		l.newCallGraphCheck(),
 		l.newSnapshotSafe(),
-		l.newContextCheck(),
 		// directive must stay last: its Finish sees which suppressions the
 		// other analyzers' findings actually used.
 		l.newDirectiveCheck(),

@@ -67,17 +67,15 @@ type Field struct {
 // F constructs a Field.
 func F(key string, val interface{}) Field { return Field{Key: key, Val: val} }
 
-// Logger emits structured records to a writer or callback sink. Methods are
-// safe for concurrent use, and all methods on a nil *Logger are no-ops.
+// Logger emits structured records to a writer. Methods are safe for
+// concurrent use, and all methods on a nil *Logger are no-ops.
 type Logger struct {
 	mu    sync.Mutex
-	w     io.Writer         // primary sink; guarded by mu
-	sink  func(line string) // alternative sink (legacy printf bridges); guarded by mu
-	json  bool              // JSON lines instead of key=value text; guarded by mu
-	level Level             // minimum level emitted; guarded by mu
-	base  []Field           // fields prepended to every record (With); guarded by mu
-	now   func() time.Time  // injectable clock (tests); guarded by mu
-	noTS  bool              // suppress ts= (sinks that stamp their own); guarded by mu
+	w     io.Writer        // the sink; guarded by mu
+	json  bool             // JSON lines instead of key=value text; guarded by mu
+	level Level            // minimum level emitted; guarded by mu
+	base  []Field          // fields prepended to every record (With); guarded by mu
+	now   func() time.Time // injectable clock (tests); guarded by mu
 }
 
 // New returns a text-mode Logger at LevelInfo writing to w.
@@ -90,21 +88,6 @@ func NewJSON(w io.Writer) *Logger {
 	l := New(w)
 	l.json = true
 	return l
-}
-
-// NewCallback bridges a legacy printf-style sink (like server.Config.Logf):
-// each record is rendered as one key=value line (without a timestamp — the
-// sink usually stamps its own) and passed as logf("%s", line).
-func NewCallback(logf func(format string, args ...interface{})) *Logger {
-	if logf == nil {
-		return nil
-	}
-	return &Logger{
-		sink:  func(line string) { logf("%s", line) },
-		level: LevelInfo,
-		now:   time.Now,
-		noTS:  true,
-	}
 }
 
 // FromEnv returns a Logger writing to w configured by IGDB_LOG_FORMAT
@@ -158,10 +141,7 @@ func (l *Logger) With(fields ...Field) *Logger {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	child := &Logger{
-		w: l.w, sink: l.sink, json: l.json, level: l.level,
-		now: l.now, noTS: l.noTS,
-	}
+	child := &Logger{w: l.w, json: l.json, level: l.level, now: l.now}
 	child.base = append(append([]Field{}, l.base...), fields...)
 	return child
 }
@@ -178,12 +158,6 @@ func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, field
 // Error emits an error-level record.
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
 
-// Logf is the printf bridge for call sites not yet converted to fields: the
-// formatted string becomes the msg of an info-level record.
-func (l *Logger) Logf(format string, args ...interface{}) {
-	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
-}
-
 func (l *Logger) log(v Level, msg string, fields []Field) {
 	if l == nil {
 		return
@@ -199,22 +173,14 @@ func (l *Logger) log(v Level, msg string, fields []Field) {
 	} else {
 		line = renderText(l.stamp(), v, msg, l.base, fields)
 	}
-	if l.sink != nil {
-		l.sink(line)
-		return
-	}
 	if l.w != nil {
 		fmt.Fprintln(l.w, line)
 	}
 }
 
-// stamp returns the record timestamp, or "" when suppressed. Called from
-// log with l.mu already held.
+// stamp returns the record timestamp. Called from log with l.mu already
+// held.
 func (l *Logger) stamp() string {
-	//lint:ignore guardedby the only caller (log) holds l.mu
-	if l.noTS {
-		return ""
-	}
 	//lint:ignore guardedby the only caller (log) holds l.mu
 	now := l.now
 	if now == nil {
@@ -227,12 +193,9 @@ func (l *Logger) stamp() string {
 // needed, so lines stay grep-friendly.
 func renderText(ts string, v Level, msg string, base, fields []Field) string {
 	var b strings.Builder
-	if ts != "" {
-		b.WriteString("ts=")
-		b.WriteString(ts)
-		b.WriteByte(' ')
-	}
-	b.WriteString("level=")
+	b.WriteString("ts=")
+	b.WriteString(ts)
+	b.WriteString(" level=")
 	b.WriteString(v.String())
 	b.WriteString(" msg=")
 	b.WriteString(quoteValue(msg))
@@ -290,13 +253,9 @@ func quoteValue(s string) string {
 // renderJSON emits one JSON object per record with fields in call order.
 func renderJSON(ts string, v Level, msg string, base, fields []Field) string {
 	var b strings.Builder
-	b.WriteByte('{')
-	if ts != "" {
-		b.WriteString(`"ts":`)
-		b.WriteString(strconv.Quote(ts))
-		b.WriteByte(',')
-	}
-	b.WriteString(`"level":`)
+	b.WriteString(`{"ts":`)
+	b.WriteString(strconv.Quote(ts))
+	b.WriteString(`,"level":`)
 	b.WriteString(strconv.Quote(v.String()))
 	b.WriteString(`,"msg":`)
 	b.WriteString(strconv.Quote(msg))

@@ -74,7 +74,6 @@ func TestWithFields(t *testing.T) {
 func TestNilLoggerIsSafe(t *testing.T) {
 	var l *Logger
 	l.Info("ignored", F("k", "v"))
-	l.Logf("ignored %d", 1)
 	l.SetLevel(LevelDebug)
 	l.SetJSON(true)
 	if l.With(F("a", 1)) != nil {
@@ -85,31 +84,22 @@ func TestNilLoggerIsSafe(t *testing.T) {
 	}
 }
 
-func TestCallbackBridge(t *testing.T) {
-	var lines []string
-	l := NewCallback(func(format string, args ...interface{}) {
-		if format != "%s" {
-			t.Fatalf("format = %q", format)
-		}
-		lines = append(lines, args[0].(string))
-	})
-	l.Info("snapshot ready", F("seq", 2))
-	if len(lines) != 1 || lines[0] != `level=info msg="snapshot ready" seq=2` {
-		t.Fatalf("bridged lines = %q", lines)
-	}
-	if NewCallback(nil) != nil {
-		t.Fatal("NewCallback(nil) must be the nil no-op logger")
-	}
+// countingWriter counts the lines written to it.
+type countingWriter struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.n += strings.Count(string(p), "\n")
+	w.mu.Unlock()
+	return len(p), nil
 }
 
 func TestConcurrentLogging(t *testing.T) {
-	var mu sync.Mutex
-	var n int
-	l := NewCallback(func(string, ...interface{}) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})
+	var w countingWriter
+	l := New(&w)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -121,8 +111,8 @@ func TestConcurrentLogging(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n != 400 {
-		t.Fatalf("records = %d, want 400", n)
+	if w.n != 400 {
+		t.Fatalf("records = %d, want 400", w.n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -131,6 +132,49 @@ func TestPreparedStmtSeesNewRows(t *testing.T) {
 		}
 		if n, _ := rows.Rows[0][0].AsInt(); n != want {
 			t.Fatalf("after %d inserts COUNT(*) = %d", want, n)
+		}
+	}
+}
+
+// TestQueryContextStops: once its context is done, a statement stops at
+// the first check of whichever loop reaches 1,024 rows. A join counts the
+// pairs it probes, so two left rows against 2,000 right rows stop too.
+func TestQueryContextStops(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE s (k INTEGER)`)
+	db.MustExec(`INSERT INTO s VALUES (0), (1)`)
+	db.MustExec(`CREATE TABLE t (x INTEGER, g INTEGER)`)
+	rows := make([][]Value, 2000)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i)), Int(0)}
+	}
+	if err := db.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM t WHERE x < 0`,         // pushed scan filter
+		`SELECT COUNT(*) FROM s JOIN t ON s.k < t.x`, // nested loop
+		`SELECT COUNT(*) FROM s JOIN t ON t.g = s.k`, // hash join
+		`SELECT g, COUNT(*) FROM t GROUP BY g`,       // grouping
+		`SELECT x FROM t`,                            // emit
+		`EXPLAIN ANALYZE SELECT x FROM t`,
+	} {
+		stmt, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stmt.QueryContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: QueryContext err = %v, want context.Canceled", sql, err)
+		}
+		if _, err := stmt.Query(); err != nil {
+			t.Errorf("%s: Query err = %v", sql, err)
+		}
+		if stmt.IsExplain() {
+			if _, err := stmt.ExplainContext(ctx); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: ExplainContext err = %v, want context.Canceled", sql, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -175,11 +176,11 @@ func (db *DB) Query(sql string) (*Rows, error) {
 	case *SelectStmt:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		return db.execSelect(s)
+		return db.execSelect(context.Background(), s)
 	case *ExplainStmt:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		plan, err := db.explainLocked(s)
+		plan, err := db.explainLocked(context.Background(), s)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +206,7 @@ func (db *DB) Explain(sql string, analyze bool) (*PlanNode, error) {
 	ex.Analyze = ex.Analyze || analyze
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.explainLocked(ex)
+	return db.explainLocked(context.Background(), ex)
 }
 
 // MustQuery runs Query and panics on error.

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -277,12 +278,13 @@ func (e *evalEnv) aggregate(s *aggSlot) (Value, error) {
 		return Int(int64(len(e.group))), nil
 	}
 	var (
-		n      int64
-		sum    float64
-		allInt = true
-		best   Value
-		seen   map[string]bool
-		kbuf   []byte
+		n     int64
+		sum   float64
+		isum  int64
+		exact = true // isum is the sum: every value an integer, no overflow
+		best  Value
+		seen  map[string]bool
+		kbuf  []byte
 	)
 	sub := evalEnv{}
 	for _, row := range e.group {
@@ -311,8 +313,12 @@ func (e *evalEnv) aggregate(s *aggSlot) (Value, error) {
 			if !ok {
 				return Null, fmt.Errorf("reldb: %s over non-numeric value %s", s.name, v)
 			}
-			allInt = allInt && v.kind == kindInt
 			sum += f
+			if exact {
+				next := isum + v.i
+				exact = v.kind == kindInt && (next > isum) == (v.i > 0)
+				isum = next
+			}
 		case aggMin, aggMax:
 			if c := Compare(v, best); n == 1 || (s.fn == aggMin && c < 0) || (s.fn == aggMax && c > 0) {
 				best = v
@@ -326,34 +332,60 @@ func (e *evalEnv) aggregate(s *aggSlot) (Value, error) {
 		return best, nil // NULL over no values
 	case s.fn == aggAvg:
 		return Float(sum / float64(n)), nil
-	case allInt && sum == math.Trunc(sum):
-		return Int(int64(sum)), nil
+	case exact:
+		return Int(isum), nil
 	}
 	return Float(sum), nil
 }
 
 // ---- SELECT execution ----
 
-// execSelect binds and runs one SELECT. Callers (Query, Stmt.Query) hold
-// db.mu for reading.
-func (db *DB) execSelect(s *SelectStmt) (*Rows, error) {
+// checkEvery is how many rows, or probed join pairs, the executor handles
+// between two looks at its context: a look costs an interface call and,
+// on a cancellable context, a mutex, which once per 1,024 rows is lost in
+// the per-row work.
+const checkEvery = 1024
+
+// stopper counts the rows an execution handles and looks at its context
+// once every checkEvery of them. One stopper serves the whole execution,
+// so the count runs on from one operator to the next.
+type stopper struct {
+	ctx context.Context
+	n   int
+}
+
+// tick counts one row; once per checkEvery rows it returns the context's
+// error.
+func (st *stopper) tick() error {
+	if st.n++; st.n < checkEvery {
+		return nil
+	}
+	st.n = 0
+	return st.ctx.Err()
+}
+
+// execSelect binds and runs one SELECT, stopping with ctx's error once
+// ctx is done. Callers (Query, Stmt.QueryContext) hold db.mu for reading.
+func (db *DB) execSelect(ctx context.Context, s *SelectStmt) (*Rows, error) {
 	b, err := db.bind(s)
 	if err != nil {
 		return nil, err
 	}
-	return execSelectPlan(b, nil)
+	return execSelectPlan(ctx, b, nil)
 }
 
 // execSelectPlan runs a bound SELECT. With a non-nil plan (EXPLAIN ANALYZE)
 // every pipeline stage is timed and row-counted into the matching plan
 // node; with a nil plan each probe call is a nil check and nothing more,
 // so the plain-query path pays no measurable overhead for the
-// instrumentation.
-func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
+// instrumentation. The filter, join, grouping and emit loops tick one
+// stopper and return ctx's error once ctx is done.
+func execSelectPlan(ctx context.Context, b *boundSelect, pl *selectPlan) (*Rows, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	s, from := b.s, b.from
+	stop := &stopper{ctx: ctx}
 	var rows [][]Value
 	var err error
 	if s.From == nil {
@@ -371,7 +403,7 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 		} else {
 			prb.done(len(read), len(read), 1)
 			prb := pl.probeScanFilter()
-			if rows, err = filterRows(read, b.scan); err != nil {
+			if rows, err = filterRows(stop, read, b.scan); err != nil {
 				return nil, err
 			}
 			prb.done(len(read), len(rows), 1)
@@ -382,7 +414,7 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 			right := read
 			if b.right[i] != nil {
 				prb := pl.probeRightFilter(i)
-				if right, err = filterRows(read, b.right[i]); err != nil {
+				if right, err = filterRows(stop, read, b.right[i]); err != nil {
 					return nil, err
 				}
 				prb.done(len(read), len(right), 1)
@@ -390,7 +422,7 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 			in := len(rows)
 			prb := pl.probeJoin(i)
 			var scanned OpStats
-			rows, scanned, err = join(from.ends[i], rows, right, j.Left, jt, b.on[i], b.joins[i])
+			rows, scanned, err = join(stop, from.ends[i], rows, right, j.Left, jt, b.on[i], b.joins[i])
 			if err != nil {
 				return nil, err
 			}
@@ -408,7 +440,7 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 	if b.where != nil {
 		prb := pl.probeFilter()
 		in := len(rows)
-		if rows, err = filterRows(rows, b.where); err != nil {
+		if rows, err = filterRows(stop, rows, b.where); err != nil {
 			return nil, err
 		}
 		prb.done(in, len(rows), 1)
@@ -452,7 +484,7 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 	in := len(rows)
 	env := evalEnv{}
 	if b.grouped {
-		groups, err := groupRows(rows, b.groupBy, len(from.sch.names))
+		groups, err := groupRows(stop, rows, b.groupBy, len(from.sch.names))
 		if err != nil {
 			return nil, err
 		}
@@ -461,6 +493,9 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 		env.aggs = make([]Value, len(b.slots))
 		env.done = make([]bool, len(b.slots))
 		for _, g := range groups {
+			if err := stop.tick(); err != nil {
+				return nil, err
+			}
 			env.startGroup(g)
 			if ok, err := env.holds(b.having); err != nil {
 				return nil, err
@@ -474,6 +509,9 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 	} else {
 		initEmit(len(rows))
 		for _, row := range rows {
+			if err := stop.tick(); err != nil {
+				return nil, err
+			}
 			env.row = row
 			if err := emit(&env); err != nil {
 				return nil, err
@@ -562,10 +600,13 @@ func execSelectPlan(b *boundSelect, pl *selectPlan) (*Rows, error) {
 }
 
 // filterRows returns, in order, the rows on which pred is true.
-func filterRows(rows [][]Value, pred *bexpr) ([][]Value, error) {
+func filterRows(stop *stopper, rows [][]Value, pred *bexpr) ([][]Value, error) {
 	out := rows[:0:0]
 	env := evalEnv{}
 	for _, row := range rows {
+		if err := stop.tick(); err != nil {
+			return nil, err
+		}
 		env.row = row
 		ok, err := env.holds(pred)
 		if err != nil {
@@ -598,7 +639,7 @@ type group struct {
 
 // groupRows splits rows, each width values wide, into groups by the
 // values of by, in first-seen order.
-func groupRows(rows [][]Value, by []*bexpr, width int) ([]group, error) {
+func groupRows(stop *stopper, rows [][]Value, by []*bexpr, width int) ([]group, error) {
 	if len(by) == 0 {
 		// Single group over everything; present even when empty so COUNT(*)
 		// returns 0. A bare column reads the first row, as in a GROUP BY
@@ -617,6 +658,9 @@ func groupRows(rows [][]Value, by []*bexpr, width int) ([]group, error) {
 	env := evalEnv{}
 	var buf []byte
 	for _, row := range rows {
+		if err := stop.tick(); err != nil {
+			return nil, err
+		}
 		env.row = row
 		buf = buf[:0]
 		for _, e := range by {
@@ -709,8 +753,9 @@ func anyAggregateOrder(obs []OrderItem) bool {
 // join a left row that keeps none is padded with NULLs. scanned is how
 // the join read its right side, for EXPLAIN ANALYZE: the rows the index
 // probes fetched, one loop per probe; the rows hashed once; or every row
-// once per left row.
-func join(leftWidth int, left, right [][]Value, leftJoin bool, jt *Table, on *bexpr, eq *equiJoin) (out [][]Value, scanned OpStats, err error) {
+// once per left row. It ticks stop once per left row and once per pair it
+// probes: one nested-loop left row meets every right row.
+func join(stop *stopper, leftWidth int, left, right [][]Value, leftJoin bool, jt *Table, on *bexpr, eq *equiJoin) (out [][]Value, scanned OpStats, err error) {
 	combine := func(l []Value, r []Value) []Value {
 		row := make([]Value, 0, leftWidth+len(jt.Cols))
 		row = append(row, l...)
@@ -721,6 +766,9 @@ func join(leftWidth int, left, right [][]Value, leftJoin bool, jt *Table, on *be
 	env := evalEnv{}
 	matched := false
 	try := func(lrow, rrow []Value) error {
+		if err := stop.tick(); err != nil {
+			return err
+		}
 		full := combine(lrow, rrow)
 		env.row = full
 		ok, err := env.holds(on)
@@ -752,6 +800,9 @@ func join(leftWidth int, left, right [][]Value, leftJoin bool, jt *Table, on *be
 		}
 	}
 	for _, lrow := range left {
+		if err := stop.tick(); err != nil {
+			return nil, scanned, err
+		}
 		matched = false
 		switch {
 		case eq == nil:

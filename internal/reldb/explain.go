@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -359,9 +360,10 @@ func scanNode(label string, t *Table, l *indexLookup) *PlanNode {
 }
 
 // explainLocked plans ex.Stmt and, for EXPLAIN ANALYZE of a SELECT,
-// executes it with per-operator probes attached. Callers hold db.mu for
-// reading — ANALYZE therefore only supports read-only statements.
-func (db *DB) explainLocked(ex *ExplainStmt) (*PlanNode, error) {
+// executes it under ctx with per-operator probes attached. Callers hold
+// db.mu for reading — ANALYZE therefore only supports read-only
+// statements.
+func (db *DB) explainLocked(ctx context.Context, ex *ExplainStmt) (*PlanNode, error) {
 	switch inner := ex.Stmt.(type) {
 	case *SelectStmt:
 		b, err := db.bind(inner)
@@ -370,7 +372,7 @@ func (db *DB) explainLocked(ex *ExplainStmt) (*PlanNode, error) {
 		}
 		pl := planSelect(b)
 		if ex.Analyze {
-			if _, err := execSelectPlan(b, pl); err != nil {
+			if _, err := execSelectPlan(ctx, b, pl); err != nil {
 				return nil, err
 			}
 		}

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -63,11 +64,15 @@ func (s *Stmt) IsExplain() bool { return s.explain != nil }
 // IsAnalyze reports whether the prepared statement is an EXPLAIN ANALYZE.
 func (s *Stmt) IsAnalyze() bool { return s.explain != nil && s.explain.Analyze }
 
-// Explain runs the prepared EXPLAIN and returns the structured plan tree
-// (freshly planned — and for ANALYZE freshly executed — per call, so
-// timings and row counts reflect the current table contents). Returns
-// ErrNotSelect when the statement is not an EXPLAIN.
-func (s *Stmt) Explain() (*PlanNode, error) {
+// Explain is ExplainContext with a context that is never done.
+func (s *Stmt) Explain() (*PlanNode, error) { return s.ExplainContext(context.Background()) }
+
+// ExplainContext runs the prepared EXPLAIN and returns the structured plan
+// tree (freshly planned — and for ANALYZE freshly executed — per call, so
+// timings and row counts reflect the current table contents). An ANALYZE
+// execution stops with ctx's error once ctx is done. Returns ErrNotSelect
+// when the statement is not an EXPLAIN.
+func (s *Stmt) ExplainContext(ctx context.Context) (*PlanNode, error) {
 	if s.closed.Load() {
 		return nil, ErrStmtClosed
 	}
@@ -76,27 +81,32 @@ func (s *Stmt) Explain() (*PlanNode, error) {
 	}
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	return s.db.explainLocked(s.explain)
+	return s.db.explainLocked(ctx, s.explain)
 }
 
-// Query executes the prepared plan against the current table contents. The
-// plan is shared and never mutated by execution, so concurrent Query calls
+// Query is QueryContext with a context that is never done.
+func (s *Stmt) Query() (*Rows, error) { return s.QueryContext(context.Background()) }
+
+// QueryContext executes the prepared plan against the current table
+// contents, and stops with ctx's error once ctx is done: the executor
+// looks at ctx once per 1,024 rows it filters, joins, groups or emits.
+// The plan is shared and never mutated by execution, so concurrent calls
 // on one Stmt are safe. EXPLAIN statements yield the plan tree as
 // single-column text rows.
-func (s *Stmt) Query() (*Rows, error) {
+func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	if s.closed.Load() {
 		return nil, ErrStmtClosed
 	}
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
 	if s.explain != nil {
-		plan, err := s.db.explainLocked(s.explain)
+		plan, err := s.db.explainLocked(ctx, s.explain)
 		if err != nil {
 			return nil, err
 		}
 		return plan.Rows(), nil
 	}
-	return s.db.execSelect(s.sel)
+	return s.db.execSelect(ctx, s.sel)
 }
 
 // Close releases the prepared plan. Further Query calls return

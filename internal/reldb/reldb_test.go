@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -161,20 +162,28 @@ func TestCountDistinct(t *testing.T) {
 
 func TestSumAvg(t *testing.T) {
 	db := New()
-	db.MustExec(`CREATE TABLE v (x INTEGER, f REAL)`)
-	db.MustExec(`INSERT INTO v VALUES (1, 0.5), (2, 1.5), (3, NULL)`)
-	rows := db.MustQuery(`SELECT SUM(x), AVG(x), SUM(f), AVG(f) FROM v`)
-	if n, _ := rows.Rows[0][0].AsInt(); n != 6 {
-		t.Errorf("SUM(x) = %v", rows.Rows[0][0])
-	}
-	if f, _ := rows.Rows[0][1].AsFloat(); f != 2 {
-		t.Errorf("AVG(x) = %v", rows.Rows[0][1])
-	}
-	if f, _ := rows.Rows[0][2].AsFloat(); f != 2 {
-		t.Errorf("SUM(f) = %v", rows.Rows[0][2])
-	}
-	if f, _ := rows.Rows[0][3].AsFloat(); f != 1 {
-		t.Errorf("AVG(f) skipping NULL = %v", rows.Rows[0][3])
+	db.MustExec(`CREATE TABLE v (g INTEGER, x INTEGER, f REAL)`)
+	db.MustExec(`INSERT INTO v VALUES (0, 1, 0.5), (0, 2, 1.5), (0, 3, NULL),
+		(1, 9007199254740992, NULL), (1, 1, NULL), (1, 1, NULL),
+		(2, 4611686018427387904, NULL), (2, 4611686018427387904, NULL)`)
+	for _, tc := range []struct {
+		sql  string
+		want []interface{} // Interface() of each value: int64 is INTEGER, float64 REAL
+	}{
+		{`SELECT SUM(x), AVG(x), SUM(f), AVG(f) FROM v WHERE g = 0`, []interface{}{int64(6), 2.0, 2.0, 1.0}},
+		// Integers add exactly past 2^53, where float64 drops the 1s.
+		{`SELECT SUM(x) FROM v WHERE g = 1`, []interface{}{int64(9007199254740994)}},
+		// 2^62 + 2^62 overflows int64, so the sum is the float64 one, REAL.
+		{`SELECT SUM(x), AVG(x) FROM v WHERE g = 2`, []interface{}{9223372036854775808.0, 4611686018427387904.0}},
+	} {
+		rows := db.MustQuery(tc.sql)
+		var got []interface{}
+		for _, v := range rows.Rows[0] {
+			got = append(got, v.Interface())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s = %#v, want %#v", tc.sql, got, tc.want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package reldb_test
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"sort"
 	"strings"
@@ -60,16 +61,23 @@ func (e shapeExpr) eval(group [][]reldb.Value) reldb.Value {
 		return reldb.Null
 	}
 	if e.fn == "SUM" {
+		// INTEGER while every value is an integer and no partial sum
+		// leaves int64; otherwise the float64 sum, REAL.
 		var sum float64
-		allInt := true
+		exact := new(big.Int)
 		for _, v := range vals {
 			f, _ := v.AsFloat()
-			_, isInt := v.Interface().(int64)
-			allInt = allInt && isInt
 			sum += f
+			if i, isInt := v.Interface().(int64); isInt && exact != nil {
+				if exact.Add(exact, big.NewInt(i)); !exact.IsInt64() {
+					exact = nil
+				}
+			} else {
+				exact = nil
+			}
 		}
-		if allInt && sum == math.Trunc(sum) {
-			return reldb.Int(int64(sum))
+		if exact != nil {
+			return reldb.Int(exact.Int64())
 		}
 		return reldb.Float(sum)
 	}

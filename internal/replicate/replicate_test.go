@@ -13,8 +13,13 @@ import (
 
 	"igdb/internal/core"
 	"igdb/internal/ingest"
+	"igdb/internal/leakgate"
 	"igdb/internal/worldgen"
 )
+
+// TestMain fails the package when its tests leave goroutines running
+// its code.
+func TestMain(m *testing.M) { leakgate.Main(m, "igdb/internal/replicate") }
 
 var (
 	fixtureOnce  sync.Once

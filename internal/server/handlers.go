@@ -181,14 +181,13 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		stmt, err = snap.g.Rel.Prepare(norm)
 		smpl.parse = time.Since(pt0)
 		psp.End()
-		if errors.Is(err, reldb.ErrNotSelect) {
-			qErr = err.Error()
-			writeError(w, http.StatusForbidden, "read-only API: %v", err)
-			return
-		}
 		if err != nil {
 			qErr = err.Error()
-			writeError(w, http.StatusBadRequest, "%v", err)
+			if errors.Is(err, reldb.ErrNotSelect) {
+				writeError(w, http.StatusForbidden, "read-only API: %v", err)
+			} else {
+				writeError(w, http.StatusBadRequest, "%v", err)
+			}
 			return
 		}
 		snap.plans.Put(norm, stmt)
@@ -201,51 +200,33 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		s.metrics.resultMisses.Add(1)
 	}
 
-	// Execute off the handler goroutine so a per-request deadline can fire
-	// even though reldb execution is not context-aware. A timed-out query
-	// runs to completion in the background, but wrap frees the limiter slot
-	// as soon as this handler returns, so abandoned executions are not
-	// bounded by MaxConcurrency: repeated timeouts can pile them up.
-	type outcome struct {
-		rows *reldb.Rows
-		plan *reldb.PlanNode
-		err  error
-	}
-	done := make(chan outcome, 1)
+	// The executor stops at the request deadline, so the limiter slot is
+	// held exactly as long as the statement runs.
 	esp := sp.Start("exec")
 	et0 := time.Now()
-	go func() {
-		if isExplain {
-			plan, qerr := stmt.Explain()
-			done <- outcome{plan: plan, err: qerr}
-			return
-		}
-		rows, qerr := stmt.Query()
-		done <- outcome{rows: rows, err: qerr}
-	}()
 	var rows *reldb.Rows
 	var plan *reldb.PlanNode
-	select {
-	case out := <-done:
-		smpl.exec = time.Since(et0)
-		esp.End()
-		if out.err != nil {
-			qErr = out.err.Error()
-			writeError(w, http.StatusBadRequest, "%v", out.err)
+	if isExplain {
+		plan, err = stmt.ExplainContext(r.Context())
+	} else {
+		rows, err = stmt.QueryContext(r.Context())
+	}
+	smpl.exec = time.Since(et0)
+	esp.End()
+	if err != nil {
+		if r.Context().Err() != nil {
+			s.metrics.rejected.Add(1)
+			qErr = "query exceeded the request deadline"
+			writeError(w, http.StatusGatewayTimeout, "query exceeded the request deadline")
 			return
 		}
-		rows, plan = out.rows, out.plan
-		if plan != nil {
-			rows = plan.Rows()
-			attachPlanSpans(esp, plan, et0)
-		}
-	case <-r.Context().Done():
-		smpl.exec = time.Since(et0)
-		esp.End()
-		s.metrics.rejected.Add(1)
-		qErr = "query exceeded the request deadline"
-		writeError(w, http.StatusGatewayTimeout, "query exceeded the request deadline")
+		qErr = err.Error()
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	if plan != nil {
+		rows = plan.Rows()
+		attachPlanSpans(esp, plan, et0)
 	}
 
 	qRows = rows.Len()

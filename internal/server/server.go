@@ -76,13 +76,9 @@ type Config struct {
 	// snapshot on this period (0 = only on POST /admin/rebuild).
 	RebuildEvery time.Duration
 	// Logger receives structured server logs (access lines, rebuild
-	// outcomes, panics). When nil, Logf is bridged; when both are nil the
-	// server logs key=value text to stderr honoring IGDB_LOG_FORMAT and
-	// IGDB_LOG_LEVEL.
+	// outcomes, panics). When nil the server logs key=value text to stderr
+	// honoring IGDB_LOG_FORMAT and IGDB_LOG_LEVEL.
 	Logger *obs.Logger
-	// Logf is a legacy printf-style sink, bridged into a structured Logger
-	// when Logger is nil.
-	Logf func(format string, args ...interface{})
 	// SlowQueryMin is the /sql duration threshold past which a statement is
 	// recorded in the slow-query log (GET /debug/queries). 0 means the
 	// 250ms default; negative records every statement.
@@ -166,14 +162,11 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// resolveLogger picks the structured logger: explicit Logger, a bridged
-// legacy Logf, or a fresh env-configured stderr logger.
+// resolveLogger picks the structured logger: explicit Logger or a fresh
+// env-configured stderr logger.
 func (c *Config) resolveLogger() *obs.Logger {
 	if c.Logger != nil {
 		return c.Logger
-	}
-	if c.Logf != nil {
-		return obs.NewCallback(c.Logf)
 	}
 	return obs.FromEnv(os.Stderr)
 }

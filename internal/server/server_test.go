@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,8 +15,15 @@ import (
 	"time"
 
 	"igdb/internal/ingest"
+	"igdb/internal/leakgate"
+	"igdb/internal/obs"
+	"igdb/internal/reldb"
 	"igdb/internal/worldgen"
 )
+
+// TestMain fails the package when its tests leave goroutines running
+// its code.
+func TestMain(m *testing.M) { leakgate.Main(m, "igdb/internal/server") }
 
 // table2SQL is the paper's Table 2 analysis (ASes with physical presence in
 // the most countries) — the reference workload for the serving layer.
@@ -52,8 +61,8 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	if cfg.Store == nil {
 		cfg.Store = sharedStore(t)
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {} // keep test output quiet
+	if cfg.Logger == nil {
+		cfg.Logger = obs.New(io.Discard) // keep test output quiet
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -558,7 +567,7 @@ func TestMaxResultRowsTruncation(t *testing.T) {
 // database build needed.
 func TestPanicRecovery(t *testing.T) {
 	s := &Server{
-		cfg:     Config{RequestTimeout: time.Second, Logf: func(string, ...interface{}) {}},
+		cfg:     Config{RequestTimeout: time.Second},
 		metrics: newMetrics(),
 		sem:     make(chan struct{}, 1),
 	}
@@ -583,7 +592,7 @@ func TestPanicRecovery(t *testing.T) {
 // request is rejected with 503 instead of queueing forever.
 func TestLimiterSaturation(t *testing.T) {
 	s := &Server{
-		cfg:     Config{RequestTimeout: 20 * time.Millisecond, Logf: func(string, ...interface{}) {}},
+		cfg:     Config{RequestTimeout: 20 * time.Millisecond},
 		metrics: newMetrics(),
 		sem:     make(chan struct{}, 1),
 	}
@@ -612,6 +621,82 @@ func TestLimiterSaturation(t *testing.T) {
 	}
 	close(release)
 	<-done
+}
+
+// TestSQLDeadlineStopsExecutor: 2N statements that each outlive a 50 ms
+// deadline, against N limiter slots, all answer 503 or 504 within a
+// second, and no executor is left running once they have.
+func TestSQLDeadlineStopsExecutor(t *testing.T) {
+	const n = 4
+	s := newTestServer(t, Config{MaxConcurrency: n, RequestTimeout: 50 * time.Millisecond})
+	h := s.Handler()
+	t0 := time.Now()
+	codes := make(chan int, 2*n)
+	for i := 0; i < 2*n; i++ {
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/sql",
+				strings.NewReader(`SELECT COUNT(*) FROM asn_loc a JOIN asn_loc b ON a.asn < b.asn`)))
+			codes <- rec.Code
+		}()
+	}
+	for i := 0; i < 2*n; i++ {
+		if code := <-codes; code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout {
+			t.Errorf("status %d, want 503 or 504", code)
+		}
+	}
+	if elapsed := time.Since(t0); elapsed > time.Second {
+		t.Errorf("answers took %v, want under 1s", elapsed)
+	}
+	if got := s.metrics.rejected.Load(); got != 2*n {
+		t.Errorf("rejected = %d, want %d", got, 2*n)
+	}
+	if left := leakgate.Running(time.Second, "igdb/internal/reldb"); len(left) > 0 {
+		t.Fatalf("%d executor(s) still running after their deadline:\n\n%s", len(left), strings.Join(left, "\n\n"))
+	}
+}
+
+// TestSQLExecutorPanic: a panic inside the executor is recovered by the
+// middleware like any handler panic, and the server keeps serving.
+func TestSQLExecutorPanic(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrency: 1})
+	s.current().g.Rel.RegisterFunc("BOOM", func([]reldb.Value) (reldb.Value, error) { panic("boom") })
+	h := s.Handler()
+	if rec, _ := postSQL(t, h, `SELECT BOOM(asn) FROM asn_loc`); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.metrics.panics.Load(); got != 1 {
+		t.Fatalf("panics recovered = %d, want 1", got)
+	}
+	if rec, _ := postSQL(t, h, `SELECT COUNT(*) FROM asn_loc`); rec.Code != http.StatusOK {
+		t.Fatalf("next request: status = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRunStopsPeriodicRebuild: cancelling Run after a periodic rebuild
+// has swapped a snapshot in returns promptly; TestMain's gate then checks
+// that the rebuild goroutine is gone too.
+func TestRunStopsPeriodicRebuild(t *testing.T) {
+	s := newTestServer(t, Config{Addr: "127.0.0.1:0", RebuildEvery: 10 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- s.Run(ctx) }()
+	for deadline := time.Now().Add(30 * time.Second); s.metrics.rebuilds.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no periodic rebuild within 30s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("Run = %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("Run still serving 15s after cancel")
+	}
 }
 
 func TestLRUCache(t *testing.T) {

@@ -11,9 +11,14 @@ import (
 	"igdb/internal/core"
 	"igdb/internal/geo"
 	"igdb/internal/ingest"
+	"igdb/internal/leakgate"
 	"igdb/internal/risk"
 	"igdb/internal/worldgen"
 )
+
+// TestMain fails the package when its tests leave goroutines running
+// its code.
+func TestMain(m *testing.M) { leakgate.Main(m, "igdb/internal/simulate") }
 
 // newDB builds a fresh database from the deterministic small world. Tests
 // that Store results need their own instance; read-only tests share db().
