@@ -19,7 +19,7 @@ import (
 var goldenDirs = []string{
 	"errdrop", "logdisc", "guarded", "sqlbad",
 	"lockorder", "leakcheck", "closecheck",
-	"callgraph", "snapsafe",
+	"callgraph",
 	"directives", "clean",
 }
 

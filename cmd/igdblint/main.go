@@ -7,11 +7,11 @@
 // deadlock-free global order (lockorder), goroutines are tied to shutdown
 // paths (leakcheck), closers are closed on every path (closecheck),
 // unexported functions are reachable in the project call graph
-// (callgraph), snapshot state is never written after its atomic-pointer
-// publish (snapshotsafe), and every //lint:ignore suppresses something
-// (directive). Goroutine lifetimes are gated at run time instead:
-// internal/leakgate fails a package whose tests leave its goroutines
-// running.
+// (callgraph), and every //lint:ignore suppresses something (directive).
+// Two invariants are gated at run time instead: internal/leakgate fails a
+// package whose tests leave its goroutines running, and the server's
+// replication test reads every value of each snapshot it publishes, so
+// the race detector reports a write made after the publish.
 //
 // Usage:
 //

@@ -21,7 +21,7 @@ func TestRulesFlag(t *testing.T) {
 	want := []string{
 		"sqlcheck", "errdrop", "logdiscipline",
 		"guardedby", "lockorder", "leakcheck", "closecheck",
-		"callgraph", "snapshotsafe",
+		"callgraph",
 		"directive",
 	}
 	if len(lines) != len(want) {

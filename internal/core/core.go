@@ -48,12 +48,10 @@ func (c StandardCity) Metro() string { return c.Name + "-" + c.Country }
 // IGDB is a built cross-layer database. Once a server publishes it behind
 // an atomic pointer it is shared by every request goroutine without
 // locking, so nothing reachable from it may be written after that swap.
-// igdblint's snapshotsafe analyzer proves the discipline on every path
-// from the annotation below; the race detector sees a violation only on a
-// path that a concurrent test drives (the server's TestConcurrentRoutes
-// drives each route).
-//
-// snapshot: immutable after publish
+// The race detector checks this wherever a test drives the code: the
+// server's TestConcurrentRoutes runs every route concurrently, and its
+// replication test reads all of each snapshot it publishes while the
+// publisher is still running.
 type IGDB struct {
 	Rel    *reldb.DB
 	Cities []StandardCity
@@ -74,16 +72,12 @@ type IGDB struct {
 	// Voronoi/Thiessen standardization join, relation construction, and
 	// path inference. Nil only with BuildOptions.SkipTrace. Mirrors the
 	// build_trace relation.
-	//
-	// snapshot: internally synchronized
 	BuildTrace *obs.Span
 
 	tree    *spatial.KDTree
 	cityIdx map[string]int
 	// span is the currently executing loader's span; loaders use it for
 	// sub-stage spans (gazetteer, voronoi, right_of_way).
-	//
-	// snapshot: internally synchronized
 	span *obs.Span
 	// pendingAdjacencies holds the standardized Atlas PoP adjacencies
 	// between loadAtlas and inferStandardPaths.

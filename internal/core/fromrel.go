@@ -44,8 +44,6 @@ func FromRelations(db *reldb.DB, asOf time.Time) (*IGDB, error) {
 }
 
 // loadCitiesFromRelation rebuilds the gazetteer structures from city_points.
-//
-// mutates: pre-publish only
 func (g *IGDB) loadCitiesFromRelation() error {
 	t := g.Rel.Table("city_points")
 	if t == nil {
@@ -80,8 +78,6 @@ func (g *IGDB) loadCitiesFromRelation() error {
 // loadSourceStatusFromRelation rebuilds per-source provenance from the
 // source_status relation so Degraded()/QuarantinedSources() — and therefore
 // the follower's /healthz — report exactly what the leader's build saw.
-//
-// mutates: pre-publish only
 func (g *IGDB) loadSourceStatusFromRelation() error {
 	if g.Rel.Table("source_status") == nil {
 		return nil // pre-provenance snapshot: nothing to restore

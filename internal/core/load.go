@@ -24,8 +24,6 @@ import (
 // loadCities builds the standard-city gazetteer, the k-d tree used by every
 // spatial join, the Thiessen tessellation, and the city_points/
 // city_polygons relations.
-//
-// mutates: pre-publish only
 func (g *IGDB) loadCities(store ingest.Reader, opts BuildOptions) error {
 	snap, err := store.Latest("naturalearth", opts.AsOf)
 	if err != nil {
@@ -93,8 +91,6 @@ func (g *IGDB) loadCities(store ingest.Reader, opts BuildOptions) error {
 
 // loadAtlas standardizes Internet Atlas PoPs into phys_nodes and records the
 // logical PoP adjacencies for standard-path inference.
-//
-// mutates: pre-publish only
 func (g *IGDB) loadAtlas(store ingest.Reader, opts BuildOptions) error {
 	snap, err := store.Latest("atlas", opts.AsOf)
 	if err != nil {

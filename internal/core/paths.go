@@ -78,8 +78,6 @@ func (rn *RowNetwork) concat(nodes []int) []geo.Point {
 
 // loadRightOfWay builds the RowNetwork from the Natural Earth road/rail
 // layers: each segment endpoint snaps to its standard city.
-//
-// mutates: pre-publish only
 func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 	snap, err := store.Latest("naturalearth", opts.AsOf)
 	if err != nil {

@@ -1,13 +1,11 @@
 package lint
 
-// callgraph.go builds the project-wide call graph the interprocedural
-// analyzers (snapshotsafe and the callgraph dead-code rule) consume;
-// goroutines that outlive their owner are left to the tests' runtime
-// gate, internal/leakgate. Nodes are declared functions and methods of
-// the loaded packages, every function literal (attributed to its
-// enclosing declaration), and the external functions the project calls
-// (stdlib and dependency objects from export data, e.g. time.Sleep).
-// Edges come in four kinds:
+// callgraph.go builds the project-wide call graph that the callgraph
+// dead-code rule reads. Nodes are declared functions and methods of the
+// loaded packages, every function literal (attributed to its enclosing
+// declaration), and the external functions the project calls (stdlib and
+// dependency objects from export data, e.g. time.Sleep). A node's callers
+// come from four kinds of edge:
 //
 //   - static: direct calls to a function, method, or immediately-invoked
 //     literal, resolved through go/types;
@@ -33,48 +31,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
-
-// CGEdgeKind classifies one call edge.
-type CGEdgeKind uint8
-
-// The edge kinds.
-const (
-	CallStatic CGEdgeKind = iota
-	CallInterface
-	CallFuncValue
-	CallEnclosing
-)
-
-func (k CGEdgeKind) String() string {
-	switch k {
-	case CallStatic:
-		return "static"
-	case CallInterface:
-		return "interface"
-	case CallFuncValue:
-		return "funcvalue"
-	case CallEnclosing:
-		return "enclosing"
-	}
-	return "unknown"
-}
-
-// CGEdge is one call: a site in the caller, the callee it may reach, and
-// how the callee was resolved.
-type CGEdge struct {
-	Caller *CGNode
-	Callee *CGNode
-	// Pos is the call site (or the literal position for enclosing edges).
-	Pos token.Pos
-	// Call is the call expression, nil for enclosing edges. Analyzers use
-	// it to map arguments to callee parameters.
-	Call *ast.CallExpr
-	Kind CGEdgeKind
-	// Go marks a call site under a go statement.
-	Go bool
-}
 
 // CGNode is one function in the graph.
 type CGNode struct {
@@ -84,14 +41,12 @@ type CGNode struct {
 	Decl *ast.FuncDecl
 	// Lit is the literal, nil for declared and external functions.
 	Lit *ast.FuncLit
-	// Parent is the enclosing declared node for literals, nil otherwise.
-	Parent *CGNode
 	// Pkg is the loaded package that owns the body; nil for external
 	// functions known only through export data.
 	Pkg *Package
-	// Out and In are the call edges, in deterministic order.
-	Out []*CGEdge
-	In  []*CGEdge
+	// Callers holds the calling node of each edge into this one, in
+	// deterministic order.
+	Callers []*CGNode
 	// ValueTaken lists the sites where this function is referenced as a
 	// value (assigned, passed, stored) rather than called.
 	ValueTaken []token.Pos
@@ -102,17 +57,6 @@ type CGNode struct {
 // Name returns the qualified display name: pkg.Func, pkg.(*T).Method, or
 // pkg.Func$N for the N'th literal inside Func.
 func (n *CGNode) Name() string { return n.name }
-
-// Body returns the node's function body, nil for external nodes.
-func (n *CGNode) Body() *ast.BlockStmt {
-	switch {
-	case n.Decl != nil:
-		return n.Decl.Body
-	case n.Lit != nil:
-		return n.Lit.Body
-	}
-	return nil
-}
 
 // Sig returns the node's signature, nil when unknown.
 func (n *CGNode) Sig() *types.Signature {
@@ -127,20 +71,6 @@ func (n *CGNode) Sig() *types.Signature {
 		}
 	}
 	return nil
-}
-
-// GoSpawned reports whether every path to this node starts at a go
-// statement: true for literals whose enclosing edge is a go spawn.
-func (n *CGNode) GoSpawned() bool {
-	if n.Lit == nil {
-		return false
-	}
-	for _, e := range n.In {
-		if e.Kind == CallEnclosing {
-			return e.Go
-		}
-	}
-	return false
 }
 
 // CallGraph is the queryable project call graph.
@@ -202,15 +132,11 @@ func funcDisplayName(fn *types.Func) string {
 // package has been scanned (CHA needs the whole program's types).
 type pendingDynamic struct {
 	caller *CGNode
-	call   *ast.CallExpr
-	goStmt bool
 	// iface is the interface method for interface dispatch; nil for
 	// function-value calls.
 	iface *types.Func
 	// sig is the call signature for function-value dispatch.
 	sig *types.Signature
-	// pkg owns the call site.
-	pkg *Package
 }
 
 // BuildCallGraph constructs the graph over the loaded packages.
@@ -329,31 +255,15 @@ func (g *CallGraph) scanBody(owner *CGNode, pkg *Package, body ast.Node, pending
 	}
 	walk = func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.GoStmt:
-			// The call itself (and a literal callee) is go-spawned; its
-			// arguments are evaluated synchronously. A literal callee must
-			// be scanned here, before scanCall can memoize it without the
-			// go-spawn flag on its enclosing edge.
-			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-				for _, arg := range x.Call.Args {
-					inspect(arg)
-				}
-				ln := g.scanLit(owner, pkg, lit, true, &litIdx, pending, takenBySig)
-				g.addEdge(&CGEdge{Caller: owner, Callee: ln, Pos: x.Call.Pos(), Call: x.Call, Kind: CallStatic, Go: true})
-				return false
-			}
-			g.scanCall(owner, pkg, x.Call, true, pending, &litIdx, takenBySig)
-			descendCall(x.Call)
-			return false
 		case *ast.CallExpr:
-			g.scanCall(owner, pkg, x, false, pending, &litIdx, takenBySig)
+			g.scanCall(owner, pkg, x, pending, &litIdx, takenBySig)
 			// An immediately-invoked literal was already linked statically
 			// by scanCall but still needs its body scanned as a child node.
 			if lit, ok := ast.Unparen(x.Fun).(*ast.FuncLit); ok {
 				for _, arg := range x.Args {
 					inspect(arg)
 				}
-				g.scanLit(owner, pkg, lit, false, &litIdx, pending, takenBySig)
+				g.scanLit(owner, pkg, lit, &litIdx, pending, takenBySig)
 			} else {
 				descendCall(x)
 			}
@@ -361,7 +271,7 @@ func (g *CallGraph) scanBody(owner *CGNode, pkg *Package, body ast.Node, pending
 		case *ast.FuncLit:
 			// A literal in value position: child node plus a value-taken
 			// record for function-value CHA.
-			ln := g.scanLit(owner, pkg, x, false, &litIdx, pending, takenBySig)
+			ln := g.scanLit(owner, pkg, x, &litIdx, pending, takenBySig)
 			ln.ValueTaken = append(ln.ValueTaken, x.Pos())
 			if sig := ln.Sig(); sig != nil {
 				key := sigKey(sig)
@@ -381,30 +291,28 @@ func (g *CallGraph) scanBody(owner *CGNode, pkg *Package, body ast.Node, pending
 }
 
 // scanLit creates (and scans) the child node for one literal.
-func (g *CallGraph) scanLit(owner *CGNode, pkg *Package, lit *ast.FuncLit, goSpawn bool, litIdx *int, pending *[]pendingDynamic, takenBySig map[string][]*CGNode) *CGNode {
+func (g *CallGraph) scanLit(owner *CGNode, pkg *Package, lit *ast.FuncLit, litIdx *int, pending *[]pendingDynamic, takenBySig map[string][]*CGNode) *CGNode {
 	if n, ok := g.lits[lit]; ok {
 		return n
 	}
 	*litIdx++
 	n := &CGNode{
-		Lit:    lit,
-		Parent: owner,
-		Pkg:    pkg,
-		name:   fmt.Sprintf("%s$%d", owner.name, *litIdx),
+		Lit:  lit,
+		Pkg:  pkg,
+		name: fmt.Sprintf("%s$%d", owner.name, *litIdx),
 	}
 	g.lits[lit] = n
 	g.Nodes = append(g.Nodes, n)
-	g.addEdge(&CGEdge{Caller: owner, Callee: n, Pos: lit.Pos(), Kind: CallEnclosing, Go: goSpawn})
+	g.addEdge(owner, n) // enclosing
 	g.scanBody(n, pkg, lit.Body, pending, takenBySig)
 	return n
 }
 
 // scanCall records one call expression from owner.
-func (g *CallGraph) scanCall(owner *CGNode, pkg *Package, call *ast.CallExpr, goSpawn bool, pending *[]pendingDynamic, litIdx *int, takenBySig map[string][]*CGNode) {
+func (g *CallGraph) scanCall(owner *CGNode, pkg *Package, call *ast.CallExpr, pending *[]pendingDynamic, litIdx *int, takenBySig map[string][]*CGNode) {
 	fun := ast.Unparen(call.Fun)
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		ln := g.scanLit(owner, pkg, lit, false, litIdx, pending, takenBySig)
-		g.addEdge(&CGEdge{Caller: owner, Callee: ln, Pos: call.Pos(), Call: call, Kind: CallStatic, Go: goSpawn})
+		g.addEdge(owner, g.scanLit(owner, pkg, lit, litIdx, pending, takenBySig))
 		return
 	}
 	// Conversions are not calls.
@@ -417,14 +325,12 @@ func (g *CallGraph) scanCall(owner *CGNode, pkg *Package, call *ast.CallExpr, go
 		if sel, ok := fun.(*ast.SelectorExpr); ok {
 			if selection, ok := pkg.Info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
 				if types.IsInterface(selection.Recv()) {
-					*pending = append(*pending, pendingDynamic{
-						caller: owner, call: call, goStmt: goSpawn, iface: fn, pkg: pkg,
-					})
+					*pending = append(*pending, pendingDynamic{caller: owner, iface: fn})
 					return
 				}
 			}
 		}
-		g.addEdge(&CGEdge{Caller: owner, Callee: g.NodeOf(fn), Pos: call.Pos(), Call: call, Kind: CallStatic, Go: goSpawn})
+		g.addEdge(owner, g.NodeOf(fn))
 	case *types.Builtin, *types.TypeName:
 		// len/append/...; conversions through named types.
 	default:
@@ -438,9 +344,7 @@ func (g *CallGraph) scanCall(owner *CGNode, pkg *Package, call *ast.CallExpr, go
 		if !ok {
 			return
 		}
-		*pending = append(*pending, pendingDynamic{
-			caller: owner, call: call, goStmt: goSpawn, sig: sig, pkg: pkg,
-		})
+		*pending = append(*pending, pendingDynamic{caller: owner, sig: sig})
 	}
 }
 
@@ -497,10 +401,9 @@ func unnamedTuple(t *types.Tuple) *types.Tuple {
 	return types.NewTuple(vars...)
 }
 
-// addEdge links one edge into both endpoint adjacency lists.
-func (g *CallGraph) addEdge(e *CGEdge) {
-	e.Caller.Out = append(e.Caller.Out, e)
-	e.Callee.In = append(e.Callee.In, e)
+// addEdge records one edge from caller to callee.
+func (g *CallGraph) addEdge(caller, callee *CGNode) {
+	callee.Callers = append(callee.Callers, caller)
 }
 
 // allNamed collects every named type declared in the loaded packages, in
@@ -571,7 +474,7 @@ func (g *CallGraph) resolveInterfaceCall(p pendingDynamic, named []*types.Named)
 	}
 	// Always keep an edge to the interface method itself so the call site
 	// is never dangling (its targets may all be external).
-	g.addEdge(&CGEdge{Caller: p.caller, Callee: g.NodeOf(p.iface), Pos: p.call.Pos(), Call: p.call, Kind: CallInterface, Go: p.goStmt})
+	g.addEdge(p.caller, g.NodeOf(p.iface))
 	for _, t := range named {
 		if types.IsInterface(t) {
 			continue
@@ -591,7 +494,7 @@ func (g *CallGraph) resolveInterfaceCall(p pendingDynamic, named []*types.Named)
 		if !ok {
 			continue
 		}
-		g.addEdge(&CGEdge{Caller: p.caller, Callee: g.NodeOf(target), Pos: p.call.Pos(), Call: p.call, Kind: CallInterface, Go: p.goStmt})
+		g.addEdge(p.caller, g.NodeOf(target))
 	}
 }
 
@@ -605,7 +508,7 @@ func (g *CallGraph) resolveFuncValueCall(p pendingDynamic, takenBySig map[string
 			continue
 		}
 		seen[target] = true
-		g.addEdge(&CGEdge{Caller: p.caller, Callee: target, Pos: p.call.Pos(), Call: p.call, Kind: CallFuncValue, Go: p.goStmt})
+		g.addEdge(p.caller, target)
 	}
 }
 
@@ -634,7 +537,7 @@ func (l *Linter) newCallGraphCheck() *Analyzer {
 			if ast.IsExported(name) || name == "main" || name == "init" || name == "_" {
 				continue
 			}
-			if len(n.In) > 0 || len(n.ValueTaken) > 0 {
+			if len(n.Callers) > 0 || len(n.ValueTaken) > 0 {
 				continue
 			}
 			if sig := n.Sig(); sig != nil && sig.Recv() != nil && g.satisfiesVisibleInterface(n.Obj) {
@@ -682,14 +585,4 @@ func findIfaceMethod(iface *types.Interface, name string) *types.Func {
 		}
 	}
 	return nil
-}
-
-// funcNodeDisplay is a debugging helper: one line per node with edge
-// counts.
-func (g *CallGraph) String() string {
-	var b strings.Builder
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "%s in=%d out=%d taken=%d\n", n.Name(), len(n.In), len(n.Out), len(n.ValueTaken))
-	}
-	return b.String()
 }

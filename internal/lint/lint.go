@@ -3,8 +3,8 @@
 // golang.org/x/tools. It loads packages via `go list -export` (see load.go)
 // and runs a fixed set of analyzers that encode repository-wide invariants
 // the Go compiler cannot check: SQL/schema consistency, error-handling and
-// logging discipline, lock and goroutine discipline, and snapshot
-// immutability. The cmd/igdblint binary is a thin CLI over this package.
+// logging discipline, lock and goroutine discipline, and dead code. The
+// cmd/igdblint binary is a thin CLI over this package.
 package lint
 
 import (
@@ -40,9 +40,6 @@ type Pass struct {
 	Pkg        *types.Package
 	Info       *types.Info
 	ImportPath string
-	// Graph is the project-wide call graph, built once per Run before any
-	// analyzer sees a package. Interprocedural analyzers query it.
-	Graph *CallGraph
 
 	linter *Linter
 	rule   string
@@ -82,10 +79,6 @@ type Linter struct {
 	fset       *token.FileSet
 }
 
-// Graph returns the call graph built by the last Run (for tests and
-// tooling).
-func (l *Linter) Graph() *CallGraph { return l.graph }
-
 type suppressKey struct {
 	file string
 	line int
@@ -111,7 +104,6 @@ func NewLinter() *Linter {
 		newLeakCheck(),
 		newCloseCheck(),
 		l.newCallGraphCheck(),
-		l.newSnapshotSafe(),
 		// directive must stay last: its Finish sees which suppressions the
 		// other analyzers' findings actually used.
 		l.newDirectiveCheck(),
@@ -174,7 +166,6 @@ func (l *Linter) Run(pkgs []*Package, fset *token.FileSet) []Finding {
 				Pkg:        pkg.Types,
 				Info:       pkg.Info,
 				ImportPath: pkg.ImportPath,
-				Graph:      l.graph,
 				linter:     l,
 				rule:       a.Name,
 			})

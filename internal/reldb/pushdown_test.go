@@ -405,8 +405,9 @@ func rowKeys(rows *reldb.Rows, width int) []string {
 	return out
 }
 
-// checkOracles runs one generated query through the three comparisons.
-func checkOracles(t *testing.T, db *reldb.DB, oq oracleQuery) {
+// checkOracles runs one generated query through five comparisons. relc
+// is db's RELC copy (relcCopy).
+func checkOracles(t *testing.T, db, relc *reldb.DB, oq oracleQuery) {
 	t.Helper()
 	width := strings.Count(oq.cols, ",") + 1
 	run := func(sql string) []string {
@@ -461,6 +462,55 @@ func checkOracles(t *testing.T, db *reldb.DB, oq oracleQuery) {
 	if strings.Join(where, "\n") != strings.Join(unpushed, "\n") {
 		t.Fatalf("pushed and unpushed plans differ: %d vs %d rows\n%s",
 			len(where), len(unpushed), oq.sql(oq.cols, oq.from, oq.p))
+	}
+
+	// EXPLAIN ANALYZE runs the plan it shows: its root emits the rows the
+	// query returns.
+	plan, err := db.Explain(oq.sql(oq.cols, oq.from, oq.p), true)
+	if err != nil {
+		t.Fatalf("EXPLAIN ANALYZE: %v", err)
+	}
+	if plan.Actual == nil || plan.Actual.RowsOut != len(where) {
+		t.Fatalf("EXPLAIN ANALYZE root %+v, the query returned %d rows\n%s",
+			plan.Actual, len(where), oq.sql(oq.cols, oq.from, oq.p))
+	}
+
+	checkRELC(t, db, relc, oq.sql(oq.cols, oq.from, oq.p), width)
+}
+
+// relcCopy returns db as a follower receives it: each table sent through
+// EncodeTable and DecodeTable, then created from its DDL and filled by
+// BulkInsert, with no indexes.
+func relcCopy(t *testing.T, db *reldb.DB) *reldb.DB {
+	t.Helper()
+	cp := reldb.New()
+	for _, name := range db.TableNames() {
+		dt, err := reldb.DecodeTable(reldb.EncodeTable(db.Table(name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cp.MustExec(dt.CreateTableDDL())
+		if err := cp.BulkInsert(dt.Name, dt.Rows); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return cp
+}
+
+// checkRELC requires db's RELC copy to answer sql with the same rows in
+// the same order.
+func checkRELC(t *testing.T, db, relc *reldb.DB, sql string, width int) {
+	t.Helper()
+	want, err := db.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	got, err := relc.Query(sql)
+	if err != nil {
+		t.Fatalf("RELC copy: %s: %v", sql, err)
+	}
+	if g, w := strings.Join(rowKeys(got, width), "\n"), strings.Join(rowKeys(want, width), "\n"); g != w {
+		t.Fatalf("RELC copy differs from the original\n%s\n got:\n%s\nwant:\n%s", sql, g, w)
 	}
 }
 
@@ -524,17 +574,19 @@ func oracleDB(t *testing.T, r *rand.Rand, tables []oracleTable, maxRows int) *re
 // joins on generated 1-3 table SELECTs (INNER and LEFT JOINs, aliased
 // self-joins, single-table, mixed and constant predicates, NULLs, indexed
 // columns, numeric-looking text) with NoREC and TLP, and against the same
-// query with nothing pushed, no index read and no hash join. Each input
-// seeds one database and 30 queries;
+// query with nothing pushed, no index read and no hash join. It also
+// checks EXPLAIN ANALYZE's row count and the database's RELC copy. Each
+// input seeds one database and 30 queries;
 // the committed corpus in testdata/fuzz/FuzzPushdownOracles runs with every
 // go test, and go test -fuzz FuzzPushdownOracles searches further.
 func FuzzPushdownOracles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
 		db := oracleDB(t, r, oracleTables, 6)
+		relc := relcCopy(t, db)
 		g := &queryGen{r: r, tables: oracleTables}
 		for i := 0; i < 30; i++ {
-			checkOracles(t, db, g.query())
+			checkOracles(t, db, relc, g.query())
 		}
 	})
 }

@@ -535,8 +535,9 @@ func aggregatesEqual(a, b reldb.Value) bool {
 // DISTINCT, SELECT DISTINCT, ORDER BY on columns, aliases and ordinals,
 // and LIMIT and OFFSET on generated queries over tables with a REAL
 // column (NaN, -0.0, 1.5, 1e300). Each answer is computed again from the
-// same query without GROUP BY, ORDER BY and LIMIT, and grouped aggregates
-// obey TLP. It shares FuzzPushdownOracles' query generator for FROM and
+// same query without GROUP BY, ORDER BY and LIMIT, grouped aggregates
+// obey TLP, and the database's RELC copy gives the same rows in the same
+// order. It shares FuzzPushdownOracles' query generator for FROM and
 // WHERE. Each input seeds one database, of up to 20 rows a table so that
 // ORDER BY sorts enough tied rows to tell a stable order from an unstable
 // one, and 30 queries; the committed corpus in
@@ -545,9 +546,12 @@ func FuzzShapeOracles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
 		db := oracleDB(t, r, shapeTables, 20)
+		relc := relcCopy(t, db)
 		g := &queryGen{r: r, tables: shapeTables}
 		for i := 0; i < 30; i++ {
-			checkShape(t, db, g.shape(g.query()))
+			sq := g.shape(g.query())
+			checkShape(t, db, sq)
+			checkRELC(t, db, relc, sq.sql, len(sq.items))
 		}
 	})
 }

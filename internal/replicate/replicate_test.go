@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +55,48 @@ func buildFixtureArtifact(t *testing.T) *Artifact {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// closeCheckedClient returns an HTTP client whose transport counts the
+// response bodies it returns and the ones closed. At cleanup it fails t
+// if any body is still open: an unclosed body pins its connection.
+func closeCheckedClient(t *testing.T) *http.Client {
+	tr := &bodyCounter{base: http.DefaultTransport.(*http.Transport).Clone()}
+	t.Cleanup(func() {
+		tr.base.CloseIdleConnections()
+		if open := tr.returned.Load() - tr.closed.Load(); open > 0 {
+			t.Errorf("%d of %d response bodies were never closed", open, tr.returned.Load())
+		}
+	})
+	return &http.Client{Transport: tr}
+}
+
+// bodyCounter is the RoundTripper behind closeCheckedClient.
+type bodyCounter struct {
+	base             *http.Transport
+	returned, closed atomic.Int64
+}
+
+func (c *bodyCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	c.returned.Add(1)
+	resp.Body = &countedBody{ReadCloser: resp.Body, c: c}
+	return resp, nil
+}
+
+// countedBody counts its first Close.
+type countedBody struct {
+	io.ReadCloser
+	c    *bodyCounter
+	once sync.Once
+}
+
+func (b *countedBody) Close() error {
+	b.once.Do(func() { b.c.closed.Add(1) })
+	return b.ReadCloser.Close()
 }
 
 // leader serves an artifact the way the real server does: manifest at
@@ -149,7 +192,7 @@ func TestFetchReconstructsSnapshot(t *testing.T) {
 	g, _ := fixture(t)
 	a := buildFixtureArtifact(t)
 	srv := leader(t, a)
-	f := &Fetcher{LeaderURL: srv.URL, Seed: 1}
+	f := &Fetcher{LeaderURL: srv.URL, Client: closeCheckedClient(t), Seed: 1}
 
 	m, err := f.Manifest(context.Background())
 	if err != nil {
@@ -223,6 +266,7 @@ func TestFetchRetriesTransientFaults(t *testing.T) {
 	var slept []time.Duration
 	f := &Fetcher{
 		LeaderURL:   flaky.URL,
+		Client:      closeCheckedClient(t),
 		MaxAttempts: 4,
 		BaseBackoff: time.Millisecond,
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
@@ -307,6 +351,7 @@ func TestFetchMissingChunkIsPermanent(t *testing.T) {
 	slept := 0
 	f := &Fetcher{
 		LeaderURL:   rotated.URL,
+		Client:      closeCheckedClient(t),
 		MaxAttempts: 5,
 		Sleep:       func(time.Duration) { slept++ },
 		Seed:        42,

@@ -10,7 +10,6 @@ import (
 	"igdb/internal/core"
 	"igdb/internal/obs"
 	"igdb/internal/paths"
-	"igdb/internal/reldb"
 	"igdb/internal/replicate"
 )
 
@@ -187,23 +186,7 @@ func (s *Server) snapshotFromPayload(p *replicate.Payload, fetchTime time.Durati
 		pipe, pipeErr = nil, err.Error()
 		s.logger.Warn("replica: paths pipeline unavailable", obs.F("err", err))
 	}
-	resultSize := s.cfg.CacheSize
-	if resultSize < 0 {
-		resultSize = 0
-	}
-	snap := &snapshot{
-		g:         g,
-		pipe:      pipe,
-		pipeErr:   pipeErr,
-		seq:       p.Manifest.Seq,
-		builtAt:   p.Manifest.BuiltAt,
-		buildTime: fetchTime,
-		plans:     newLRU[*reldb.Stmt](max(s.cfg.CacheSize, 16)),
-	}
-	if resultSize > 0 {
-		snap.results = newLRU[*sqlResult](resultSize)
-	}
-	return snap, nil
+	return s.newSnapshot(g, pipe, pipeErr, p.Manifest.Seq, p.Manifest.BuiltAt, fetchTime), nil
 }
 
 // servingSeq is the current snapshot's seq, or 0 before the first sync.

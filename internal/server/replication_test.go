@@ -88,12 +88,18 @@ func TestReplicationFollowerServesLeaderSnapshot(t *testing.T) {
 		t.Fatalf("follower paths pipeline = %q", rep.PathsPipeline)
 	}
 
-	// A leader rebuild propagates on the next poll.
+	// A leader rebuild propagates on the next poll. Both publishes run
+	// under publishGate, so -race sees a write to either new snapshot
+	// after its Store.
 	oldSeq := follower.SnapshotSeq()
-	if _, _, err := leader.Rebuild(); err != nil {
+	var err error
+	publishGate(leader, func() { _, _, err = leader.Rebuild() })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, installed, err := follower.syncFromLeader(context.Background()); err != nil || !installed {
+	var installed bool
+	publishGate(follower, func() { _, installed, err = follower.syncFromLeader(context.Background()) })
+	if err != nil || !installed {
 		t.Fatalf("sync after leader rebuild: installed=%v err=%v", installed, err)
 	}
 	if follower.SnapshotSeq() != leader.SnapshotSeq() || follower.SnapshotSeq() == oldSeq {

@@ -185,20 +185,15 @@ type snapshot struct {
 	simTime   time.Duration // wall time of that simulation batch
 	// The statement and result caches take their own lock per operation,
 	// so request goroutines may write them after the snapshot publishes.
-	//
-	// snapshot: internally synchronized
-	plans *lruCache[*reldb.Stmt]
-	// snapshot: internally synchronized
+	plans   *lruCache[*reldb.Stmt]
 	results *lruCache[*sqlResult]
 
 	// The replication artifact is rendered lazily, once, by the first
 	// follower poll, with artOnce serializing the write; see
 	// snapshot.artifact.
 	artOnce sync.Once
-	// snapshot: internally synchronized
-	art *replicate.Artifact
-	// snapshot: internally synchronized
-	artErr error
+	art     *replicate.Artifact
+	artErr  error
 }
 
 // Server serves a built iGDB over HTTP.
@@ -320,25 +315,29 @@ func (s *Server) buildSnapshot() (*snapshot, error) {
 		s.logger.Warn("degraded: paths pipeline unavailable", obs.F("err", err))
 	}
 	simCount, simTime := s.simulateSnapshot(g)
-	resultSize := s.cfg.CacheSize
-	if resultSize < 0 {
-		resultSize = 0 // disabled; sqlResult lookups are skipped entirely
-	}
+	snap := s.newSnapshot(g, pipe, pipeErr, s.seq.Add(1), time.Now(), time.Since(t0))
+	snap.simCount, snap.simTime = simCount, simTime
+	return snap, nil
+}
+
+// newSnapshot wraps a database for serving, with caches of its own: the
+// statement cache holds max(CacheSize, 16) entries, and the result cache
+// exists only when CacheSize is positive (a negative size disables it,
+// and lookups then skip it).
+func (s *Server) newSnapshot(g *core.IGDB, pipe *paths.Pipeline, pipeErr string, seq uint64, builtAt time.Time, buildTime time.Duration) *snapshot {
 	snap := &snapshot{
 		g:         g,
 		pipe:      pipe,
 		pipeErr:   pipeErr,
-		seq:       s.seq.Add(1),
-		builtAt:   time.Now(),
-		buildTime: time.Since(t0),
-		simCount:  simCount,
-		simTime:   simTime,
+		seq:       seq,
+		builtAt:   builtAt,
+		buildTime: buildTime,
 		plans:     newLRU[*reldb.Stmt](max(s.cfg.CacheSize, 16)),
 	}
-	if resultSize > 0 {
-		snap.results = newLRU[*sqlResult](resultSize)
+	if s.cfg.CacheSize > 0 {
+		snap.results = newLRU[*sqlResult](s.cfg.CacheSize)
 	}
-	return snap, nil
+	return snap
 }
 
 // simulateSnapshot runs the configured what-if failure batch against a

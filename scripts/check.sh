@@ -22,17 +22,21 @@ go build ./...
 # Project-aware static analysis (igdblint -rules lists the analyzers): SQL/
 # schema consistency, error and logging discipline, path-sensitive
 # mutex-guard checking, lock ordering, goroutine leaks, unclosed closers,
-# call-graph dead code, snapshot immutability, and dead suppressions. Any
-# finding fails the gate. Allocation discipline and metric hygiene are
-# gated at runtime instead, by the AllocsPerRun budgets and
-# TestMetricsExposition in the test run below.
+# call-graph dead code, and dead suppressions. Any finding fails the gate.
+# Allocation discipline and metric hygiene are gated at runtime instead,
+# by the AllocsPerRun budgets and TestMetricsExposition in the test run
+# below.
 go run ./cmd/igdblint ./...
 
 # Every test, fuzz seed corpus, chaos and replication suite, and the
 # leader/follower process test, under the race detector. This step also
-# gates goroutine lifetimes at run time: the TestMain of graph, server,
-# simulate, replicate and ingest calls internal/leakgate, which fails the
-# package when its tests leave goroutines running its code.
+# gates two invariants at run time. Goroutine lifetimes: the TestMain of
+# graph, server, simulate, replicate and ingest calls internal/leakgate,
+# which fails the package when its tests leave goroutines running its
+# code. Snapshot immutability: the server's replication test reads every
+# value of each snapshot that Rebuild and the follower's sync publish
+# while the publisher still runs, so a write after the publish is a
+# DATA RACE.
 go test -race ./...
 
 # One iteration of every benchmark so none can rot; -run '^$' skips the
