@@ -1,13 +1,15 @@
 // Command igdblint is iGDB's project-aware static analyzer. It proves, at
 // lint time, invariants the Go compiler, go vet and the test suite cannot:
-// every SQL literal parses and matches the canonical internal/core schema
-// (sqlcheck), internal packages neither drop errors (errdrop) nor bypass
-// internal/obs (logdiscipline), mutex-guard annotations hold on every path
+// every SQL literal parses and runs in internal/reldb, alone in an empty
+// database holding the canonical internal/core schema (sqlcheck),
+// internal packages neither drop errors (errdrop) nor bypass internal/obs
+// (logdiscipline), mutex-guard annotations hold on every path
 // (guardedby), locks are released on all exits and acquired in a
 // deadlock-free global order (lockorder), goroutines are tied to shutdown
-// paths (leakcheck), closers are closed on every path (closecheck),
-// unexported functions are reachable in the project call graph
-// (callgraph), and every //lint:ignore suppresses something (directive).
+// paths (leakcheck), closers are closed on every path (closecheck), every
+// unexported function has a use that go/types records or satisfies a
+// visible interface (callgraph), and every //lint:ignore suppresses
+// something (directive).
 // Two invariants are gated at run time instead: internal/leakgate fails a
 // package whose tests leave its goroutines running, and the server's
 // replication test reads every value of each snapshot it publishes, so

@@ -1,20 +1,13 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-
-	"igdb/internal/reldb"
-)
-
 // SchemaDDL is the canonical iGDB schema: every Figure 2 relation plus the
 // operational relations (source_status, build_trace) and the what-if
 // simulation results (scenario_runs, scenario_impacts, filled by
-// internal/simulate) and their indexes, as executable DDL. It is the single source of truth — Build executes exactly
-// these statements, SchemaTables derives the machine-readable form from
-// them, and cmd/igdblint's sqlcheck analyzer validates every SQL literal in
-// the repository against it. as_of_date is mandatory on all paper relations
-// (§3's snapshot semantics).
+// internal/simulate) and their indexes, as executable DDL. It is the single
+// source of truth: Build executes exactly these statements, and
+// cmd/igdblint's sqlcheck analyzer runs every SQL literal in the repository
+// in an empty reldb database made from them. as_of_date is mandatory on
+// all paper relations (§3's snapshot semantics).
 var SchemaDDL = []string{
 	`CREATE TABLE city_points (city TEXT, state_province TEXT, country TEXT,
 		longitude REAL, latitude REAL, population INTEGER, as_of_date TEXT)`,
@@ -61,27 +54,4 @@ var SchemaDDL = []string{
 	`CREATE INDEX ON rdns (ip)`,
 	`CREATE INDEX ON scenario_runs (scenario_id)`,
 	`CREATE INDEX ON scenario_impacts (scenario_id)`,
-}
-
-// SchemaTables parses SchemaDDL into the machine-readable table → column
-// mapping consumed by static tooling (sqlcheck) and tests. The DDL is under
-// our control, so a malformed statement is a programming error and panics.
-func SchemaTables() reldb.Schema {
-	schema := make(reldb.Schema, len(SchemaDDL))
-	for _, ddl := range SchemaDDL {
-		st, err := reldb.ParseStatement(ddl)
-		if err != nil {
-			panic(fmt.Sprintf("core: invalid schema DDL %q: %v", ddl, err))
-		}
-		ct, ok := st.(*reldb.CreateTableStmt)
-		if !ok {
-			continue // CREATE INDEX — validated against the tables below
-		}
-		cols := make([]string, len(ct.Cols))
-		for i, c := range ct.Cols {
-			cols[i] = strings.ToLower(c.Name)
-		}
-		schema[strings.ToLower(ct.Name)] = cols
-	}
-	return schema
 }

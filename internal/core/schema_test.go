@@ -6,65 +6,27 @@ import (
 	"igdb/internal/reldb"
 )
 
-// TestSchemaTablesMatchesDDL proves the machine-readable schema is derived
-// from — and therefore always consistent with — the executable DDL.
-func TestSchemaTablesMatchesDDL(t *testing.T) {
-	schema := SchemaTables()
-	if len(schema) == 0 {
-		t.Fatal("SchemaTables returned no tables")
-	}
-	// Execute the DDL into a fresh reldb and compare table-by-table.
+// TestSchemaCoreRelationsPresent executes SchemaDDL in a fresh database and
+// pins the paper's Figure 2 relations, so a refactor cannot silently drop
+// one.
+func TestSchemaCoreRelationsPresent(t *testing.T) {
 	db := reldb.New()
 	for _, ddl := range SchemaDDL {
 		if _, err := db.Exec(ddl); err != nil {
 			t.Fatalf("SchemaDDL statement failed: %v\n  in: %s", err, ddl)
 		}
 	}
-	names := db.TableNames()
-	if len(names) != len(schema) {
-		t.Fatalf("schema has %d tables, DDL created %d", len(schema), len(names))
-	}
-	for _, name := range names {
-		cols, ok := schema[name]
-		if !ok {
-			t.Fatalf("table %q created by DDL but missing from SchemaTables", name)
-		}
-		tbl := db.Table(name)
-		if len(cols) != len(tbl.Cols) {
-			t.Fatalf("table %q: SchemaTables has %d columns, DDL %d", name, len(cols), len(tbl.Cols))
-		}
-		for i, c := range cols {
-			if tbl.ColumnIndex(c) != i {
-				t.Fatalf("table %q column %q: position mismatch", name, c)
-			}
-		}
-	}
-}
-
-// TestSchemaCoreRelationsPresent pins the paper's Figure 2 relations so a
-// refactor cannot silently drop one.
-func TestSchemaCoreRelationsPresent(t *testing.T) {
-	schema := SchemaTables()
 	for _, want := range []string{
 		"city_points", "city_polygons", "phys_nodes", "std_paths",
 		"sub_cables", "land_points", "asn_name", "asn_org", "asn_conn",
 		"asn_loc", "ixps", "ixp_prefixes", "rdns", "anchors", "ip_asn_dns",
 		"source_status", "build_trace",
 	} {
-		if _, ok := schema[want]; !ok {
+		if db.Table(want) == nil {
 			t.Errorf("schema missing relation %q", want)
 		}
 	}
-	if !contains(schema["asn_loc"], "metro") || !contains(schema["asn_loc"], "asn") {
-		t.Errorf("asn_loc columns wrong: %v", schema["asn_loc"])
+	if loc := db.Table("asn_loc"); loc == nil || loc.ColumnIndex("metro") < 0 || loc.ColumnIndex("asn") < 0 {
+		t.Errorf("asn_loc lacks its asn and metro columns")
 	}
-}
-
-func contains(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }

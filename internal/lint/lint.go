@@ -57,9 +57,9 @@ func (p *Pass) Internal() bool {
 }
 
 // Analyzer is one named rule. Run is invoked once per package; Finish, if
-// set, once after every package has been visited (for cross-package rules
-// like sqlcheck, which must see all CREATE TABLE literals before
-// validating queries).
+// set, once after every package has been visited, for cross-package rules:
+// sqlcheck must see every CREATE TABLE literal before it runs a statement,
+// and callgraph every package's uses before it calls a function unused.
 type Analyzer struct {
 	Name string
 	Doc  string // one line, shown by igdblint -rules
@@ -75,8 +75,6 @@ type Linter struct {
 
 	findings   []Finding
 	suppressed map[suppressKey]*directive
-	graph      *CallGraph
-	fset       *token.FileSet
 }
 
 type suppressKey struct {
@@ -103,7 +101,7 @@ func NewLinter() *Linter {
 		newLockOrder(),
 		newLeakCheck(),
 		newCloseCheck(),
-		l.newCallGraphCheck(),
+		newCallGraphCheck(),
 		// directive must stay last: its Finish sees which suppressions the
 		// other analyzers' findings actually used.
 		l.newDirectiveCheck(),
@@ -147,17 +145,15 @@ func (l *Linter) newDirectiveCheck() *Analyzer {
 // Run lints every package and returns the surviving findings in
 // deterministic order (file, line, column, rule, message).
 //
-// Directives are scanned and the call graph is built once over every
-// package. Then each package, in load order (Load lists dependencies
-// before their dependents), goes through every analyzer's per-package
-// pass. The Finish hooks run last, in registration order, so directive's
-// hook sees which suppressions the other analyzers used.
+// Directives are scanned once over every package. Then each package, in
+// load order (Load lists dependencies before their dependents), goes
+// through every analyzer's per-package pass. The Finish hooks run last,
+// in registration order, so directive's hook sees which suppressions the
+// other analyzers used.
 func (l *Linter) Run(pkgs []*Package, fset *token.FileSet) []Finding {
-	l.fset = fset
 	for _, pkg := range pkgs {
 		l.scanDirectives(pkg, fset)
 	}
-	l.graph = BuildCallGraph(pkgs, fset)
 	for _, pkg := range pkgs {
 		for _, a := range l.Analyzers {
 			a.Run(&Pass{

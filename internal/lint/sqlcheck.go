@@ -99,52 +99,87 @@ func HarvestSQL(pkg *Package, fset *token.FileSet) []SQLUse {
 }
 
 // newSQLCheck builds the sqlcheck analyzer: every harvested SQL statement
-// must parse with reldb.ParseStatement and reference only tables and
-// columns that exist — either in the canonical core schema
-// (core.SchemaTables, derived from core.SchemaDDL) or in a CREATE TABLE
-// statement harvested from the same lint run. Query/schema drift therefore
-// fails at lint time instead of at runtime.
+// must parse with reldb.ParseStatement and then run in reldb itself, alone,
+// in an empty database of its own (see runAlone) that holds the canonical
+// core schema (core.SchemaDDL) and every CREATE TABLE harvested in the same
+// lint run. Names are resolved by the engine's own binder, so a statement
+// lint passes is one the engine accepts, and query/schema drift fails at
+// lint time, with the engine's message, instead of at run time.
 func newSQLCheck() *Analyzer {
-	type parsed struct {
-		pos  token.Position
-		sql  string
-		stmt reldb.Statement
-	}
-	var (
-		stmts      []parsed
-		parseFails []SQLUse
-	)
+	var uses []SQLUse
 	a := &Analyzer{
 		Name: "sqlcheck",
-		Doc:  "SQL literals must parse and match the canonical core schema (tables and columns)",
+		Doc:  "SQL literals must parse and run in reldb against the canonical core schema (an empty database per statement)",
 	}
 	a.Run = func(pass *Pass) {
-		for _, use := range harvestForPass(pass) {
-			st, err := reldb.ParseStatement(use.SQL)
-			if err != nil {
-				parseFails = append(parseFails, SQLUse{Pos: use.Pos, SQL: err.Error()})
-				continue
-			}
-			stmts = append(stmts, parsed{pos: use.Pos, sql: use.SQL, stmt: st})
-		}
+		uses = append(uses, harvestForPass(pass)...)
 	}
 	a.Finish = func(report func(pos token.Position, format string, args ...any)) {
-		for _, pf := range parseFails {
-			report(pf.Pos, "parse error: %s", pf.SQL)
+		type parsed struct {
+			use  SQLUse
+			stmt reldb.Statement
 		}
-		schema := core.SchemaTables()
-		for _, p := range stmts {
-			if ct, ok := p.stmt.(*reldb.CreateTableStmt); ok {
-				schema.AddCreate(ct)
+		var stmts []parsed
+		ddl := append([]string(nil), core.SchemaDDL...)
+		for _, use := range uses {
+			st, err := reldb.ParseStatement(use.SQL)
+			if err != nil {
+				report(use.Pos, "parse error: %s", err)
+				continue
+			}
+			stmts = append(stmts, parsed{use: use, stmt: st})
+			if _, ok := st.(*reldb.CreateTableStmt); ok {
+				ddl = append(ddl, use.SQL)
+			}
+		}
+		// The schema is the DDL that runs, in order, in one database: a
+		// table created twice keeps its first definition, and a CREATE
+		// TABLE that fails is reported at its own site.
+		base := reldb.New()
+		var schema []string
+		for _, s := range ddl {
+			if _, err := base.Exec(s); err == nil {
+				schema = append(schema, s)
 			}
 		}
 		for _, p := range stmts {
-			for _, issue := range reldb.ValidateStatement(p.stmt, schema) {
-				report(p.pos, "%s (in: %s)", issue, compactSQL(p.sql))
+			if err := runAlone(p.use.SQL, p.stmt, schema); err != nil {
+				report(p.use.Pos, "%s (in: %s)", strings.TrimPrefix(err.Error(), "reldb: "), compactSQL(p.use.SQL))
 			}
 		}
 	}
 	return a
+}
+
+// runAlone runs sql, parsed as st, in a new empty database, so a write
+// checks only itself. Every statement but a CREATE TABLE runs after the
+// DDL in schema. A CREATE TABLE runs in a database with no tables: the
+// harvest includes SchemaDDL's own CREATE TABLEs, and a table created
+// twice is no finding. An EXPLAIN of a SELECT runs as EXPLAIN ANALYZE,
+// since plain EXPLAIN shows a plan even for a SELECT that does not bind.
+func runAlone(sql string, st reldb.Statement, schema []string) error {
+	db := reldb.New()
+	if _, create := st.(*reldb.CreateTableStmt); !create {
+		for _, ddl := range schema {
+			if _, err := db.Exec(ddl); err != nil {
+				return err
+			}
+		}
+	}
+	var err error
+	switch s := st.(type) {
+	case *reldb.SelectStmt:
+		_, err = db.Query(sql)
+	case *reldb.ExplainStmt:
+		if _, ok := s.Stmt.(*reldb.SelectStmt); ok {
+			_, err = db.Explain(sql, true)
+		} else {
+			_, err = db.Query(sql)
+		}
+	default:
+		_, err = db.Exec(sql)
+	}
+	return err
 }
 
 // harvestForPass is HarvestSQL over the pass's package.

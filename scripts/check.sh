@@ -19,10 +19,11 @@ go vet ./...
 (cd perfbench && go vet ./...)
 go build ./...
 
-# Project-aware static analysis (igdblint -rules lists the analyzers): SQL/
-# schema consistency, error and logging discipline, path-sensitive
-# mutex-guard checking, lock ordering, goroutine leaks, unclosed closers,
-# call-graph dead code, and dead suppressions. Any finding fails the gate.
+# Project-aware static analysis (igdblint -rules lists the analyzers):
+# every SQL literal runs in reldb against the canonical schema, error and
+# logging discipline, path-sensitive mutex-guard checking, lock ordering,
+# goroutine leaks, unclosed closers, unused unexported functions (go/types'
+# use records), and dead suppressions. Any finding fails the gate.
 # Allocation discipline and metric hygiene are gated at runtime instead,
 # by the AllocsPerRun budgets and TestMetricsExposition in the test run
 # below.
@@ -38,6 +39,12 @@ go run ./cmd/igdblint ./...
 # while the publisher still runs, so a write after the publish is a
 # DATA RACE.
 go test -race ./...
+
+# perfbench's own tests build it against this tree and run every workload
+# in a tiny form, untraced and traced, with its output checks, so a change
+# that breaks what the benchmark reads fails here: renaming
+# igdb_sql_calls_total, for one, leaves server.overhead_ms unmeasured.
+(cd perfbench && go test ./...)
 
 # One iteration of every benchmark so none can rot; -run '^$' skips the
 # tests the race run has just passed.
