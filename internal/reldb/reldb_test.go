@@ -546,6 +546,50 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestValidateStatementCatchesDrift runs statements that have drifted from
+// the schema, each alone in an empty database holding only that schema, as
+// igdblint's sqlcheck does, and checks that the engine rejects each one
+// with a message naming what is wrong.
+func TestValidateStatementCatchesDrift(t *testing.T) {
+	schema := []string{
+		`CREATE TABLE asn_loc (asn INTEGER, metro TEXT, country TEXT, as_of_date TEXT)`,
+		`CREATE TABLE asn_name (asn INTEGER, asn_name TEXT, as_of_date TEXT)`,
+	}
+	cases := []struct {
+		sql  string
+		want string // substring of the error
+	}{
+		{`SELECT asn FROM asn_locs`, `no such table "asn_locs"`},
+		{`SELECT asnn FROM asn_loc`, `no column "asnn"`},
+		{`SELECT l.metroo FROM asn_loc l`, `no column l.metroo`},
+		{`SELECT x.asn FROM asn_loc l`, `no column x.asn`},
+		{`SELECT asn FROM asn_loc l JOIN asn_name n ON n.asn = l.asn`, `ambiguous column "asn"`},
+		{`SELECT z.* FROM asn_loc l`, `no table "z" for z.*`},
+		{`INSERT INTO asn_name (asn, nam) VALUES (1, 'x')`, `no column "nam" in table "asn_name"`},
+		{`INSERT INTO asn_name VALUES (1)`, `INSERT expects 3 values, got 1`},
+		{`UPDATE asn_loc SET metroo = 'x'`, `no column "metroo" in table "asn_loc"`},
+		{`DELETE FROM nope`, `no such table "nope"`},
+		{`DROP TABLE nope`, `no such table "nope"`},
+		{`CREATE INDEX ON asn_loc (nope)`, `no column "nope" in table "asn_loc"`},
+		{`SELECT metro`, `no column "metro"`},
+	}
+	for _, c := range cases {
+		db := New()
+		for _, ddl := range schema {
+			db.MustExec(ddl)
+		}
+		var err error
+		if strings.HasPrefix(c.sql, "SELECT") {
+			_, err = db.Query(c.sql)
+		} else {
+			_, err = db.Exec(c.sql)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: want error containing %q, got %v", c.sql, c.want, err)
+		}
+	}
+}
+
 func TestStringEscapes(t *testing.T) {
 	db := New()
 	db.MustExec(`CREATE TABLE t (s TEXT)`)
