@@ -507,15 +507,6 @@ func (g *IGDB) MetroIndex(metro string) int { return g.metroIndex(metro) }
 // CityLoc returns the coordinates of city index i.
 func (g *IGDB) CityLoc(i int) geo.Point { return g.Cities[i].Loc }
 
-// NearestCityKm returns the distance from p to its standard city.
-func (g *IGDB) NearestCityKm(p geo.Point) float64 {
-	_, km, ok := g.tree.Nearest(p)
-	if !ok {
-		return math.Inf(1)
-	}
-	return km
-}
-
 func asOfText(t time.Time) string {
 	return t.UTC().Format("2006-01-02")
 }

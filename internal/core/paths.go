@@ -19,7 +19,6 @@ import (
 type RowNetwork struct {
 	G     *graph.Graph
 	geoms map[[2]int][]geo.Point // normalized city pair -> geometry A→B
-	kinds map[[2]int]string
 }
 
 // edgeKey normalizes an undirected city pair.
@@ -46,19 +45,6 @@ func (rn *RowNetwork) Geometry(a, b int) ([]geo.Point, bool) {
 		return rev, true
 	}
 	return g, true
-}
-
-// Kind returns the right-of-way type ("road"/"rail") of edge a-b.
-func (rn *RowNetwork) Kind(a, b int) string { return rn.kinds[edgeKey(a, b)] }
-
-// Route returns the shortest right-of-way route between two cities as a
-// concatenated geometry with its length in km.
-func (rn *RowNetwork) Route(a, b int) ([]geo.Point, float64, bool) {
-	nodes, km, ok := rn.G.ShortestPath(a, b)
-	if !ok {
-		return nil, 0, false
-	}
-	return rn.concat(nodes), km, true
 }
 
 func (rn *RowNetwork) concat(nodes []int) []geo.Point {
@@ -95,7 +81,6 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 	rn := &RowNetwork{
 		G:     graph.New(len(g.Cities)),
 		geoms: make(map[[2]int][]geo.Point),
-		kinds: make(map[[2]int]string),
 	}
 	for _, rd := range roads {
 		if len(rd.Path) < 2 {
@@ -118,7 +103,6 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 			}
 		}
 		rn.geoms[key] = geom
-		rn.kinds[key] = rd.Kind
 		w := rd.LengthKm
 		if w <= 0 {
 			w = geo.PathLengthKm(rd.Path)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"igdb/internal/geoloc"
 	"igdb/internal/iptrie"
 )
 
@@ -242,27 +243,19 @@ func (e *Env) beliefPropagation() bpStats {
 			}
 		}
 	}
-	tupleSet := map[[2]int]bool{}
+	tuples := geoloc.NewTuples(inferred, ipASN, existing)
 	metroSet := map[int]bool{}
 	asSet := map[int]bool{}
 	firstGeo := map[int]bool{}
-	for ip, inf := range inferred {
-		asn, ok := ipASN[ip]
-		if !ok {
-			continue
-		}
-		key := [2]int{inf.City, asn}
-		if existing[key] || tupleSet[key] {
-			continue
-		}
-		tupleSet[key] = true
-		metroSet[inf.City] = true
+	for key := range tuples {
+		city, asn := key[0], key[1]
+		metroSet[city] = true
 		asSet[asn] = true
 		if !asWithGeo[asn] {
 			firstGeo[asn] = true
 		}
 	}
-	st.newTuples = len(tupleSet)
+	st.newTuples = len(tuples)
 	st.newMetros = len(metroSet)
 	st.newASes = len(asSet)
 	st.firstGeoASes = len(firstGeo)
@@ -288,17 +281,7 @@ func (e *Env) beliefPropagation() bpStats {
 			}
 		}
 	}
-	inf2 := propagate(e, seedNoHoiho)
-	for ip, inf := range inf2 {
-		want, ok := holdout[ip]
-		if !ok {
-			continue
-		}
-		st.consistencyTotal++
-		if want == inf.City {
-			st.consistencyAgree++
-		}
-	}
+	st.consistencyAgree, st.consistencyTotal = geoloc.Consistency(propagate(e, seedNoHoiho), holdout)
 
 	// Ground-truth accuracy.
 	truth := map[uint32]int{}

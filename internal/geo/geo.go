@@ -184,20 +184,9 @@ func (b BBox) Extend(p Point) BBox {
 	return b
 }
 
-// Union returns the smallest box containing both b and o.
-func (b BBox) Union(o BBox) BBox {
-	return b.Extend(Point{o.MinLon, o.MinLat}).Extend(Point{o.MaxLon, o.MaxLat})
-}
-
 // Contains reports whether p lies inside or on the boundary of b.
 func (b BBox) Contains(p Point) bool {
 	return p.Lon >= b.MinLon && p.Lon <= b.MaxLon && p.Lat >= b.MinLat && p.Lat <= b.MaxLat
-}
-
-// Intersects reports whether b and o share any area or boundary.
-func (b BBox) Intersects(o BBox) bool {
-	return b.MinLon <= o.MaxLon && b.MaxLon >= o.MinLon &&
-		b.MinLat <= o.MaxLat && b.MaxLat >= o.MinLat
 }
 
 // Pad returns the box grown by d degrees on every side, clamped to the legal
@@ -208,11 +197,6 @@ func (b BBox) Pad(d float64) BBox {
 	b.MinLat = math.Max(-90, b.MinLat-d)
 	b.MaxLat = math.Min(90, b.MaxLat+d)
 	return b
-}
-
-// Center returns the box's center point.
-func (b BBox) Center() Point {
-	return Point{Lon: (b.MinLon + b.MaxLon) / 2, Lat: (b.MinLat + b.MaxLat) / 2}
 }
 
 // BBoxOf returns the bounding box of a set of points; the empty box if none.

@@ -163,23 +163,3 @@ func NewTuples(inferred map[uint32]Inference, ipASN map[uint32]int, existing map
 	}
 	return out
 }
-
-// RemoteVerdict classifies an (AS, exchange-metro) presence as remote
-// peering using latency evidence [Nomikos et al. 2018, simplified]: if every
-// observed RTT sample from the member's peering-LAN address to hops known
-// to be in the exchange metro exceeds the metro threshold, the member is
-// remote.
-func RemoteVerdict(samplesMs []float64, metroThresholdMs float64) bool {
-	if metroThresholdMs == 0 {
-		metroThresholdMs = 2.0
-	}
-	if len(samplesMs) == 0 {
-		return false // no evidence: assume physical
-	}
-	for _, s := range samplesMs {
-		if s < metroThresholdMs {
-			return false
-		}
-	}
-	return true
-}

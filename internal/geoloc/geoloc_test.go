@@ -105,21 +105,3 @@ func TestNewTuples(t *testing.T) {
 		t.Errorf("got %v", got)
 	}
 }
-
-func TestRemoteVerdict(t *testing.T) {
-	if RemoteVerdict(nil, 2.0) {
-		t.Error("no evidence should default to physical")
-	}
-	if RemoteVerdict([]float64{0.4, 0.8}, 2.0) {
-		t.Error("sub-threshold samples mean physical presence")
-	}
-	if !RemoteVerdict([]float64{12.0, 15.0}, 2.0) {
-		t.Error("all samples far above threshold mean remote")
-	}
-	if RemoteVerdict([]float64{12.0, 0.5}, 2.0) {
-		t.Error("any local sample means physical")
-	}
-	if !RemoteVerdict([]float64{5}, 0) {
-		t.Error("zero threshold should default to 2 ms")
-	}
-}

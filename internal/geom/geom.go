@@ -82,30 +82,6 @@ func SignedArea(ring []XY) float64 {
 	return a / 2
 }
 
-// Centroid returns the planar area centroid of a ring. Falls back to the
-// vertex mean for degenerate (zero-area) rings.
-func Centroid(ring []XY) XY {
-	a := SignedArea(ring)
-	if math.Abs(a) < 1e-12 {
-		var c XY
-		for _, p := range ring {
-			c.X += p.X
-			c.Y += p.Y
-		}
-		n := float64(len(ring))
-		return XY{c.X / n, c.Y / n}
-	}
-	var cx, cy float64
-	n := len(ring)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		f := ring[i].X*ring[j].Y - ring[j].X*ring[i].Y
-		cx += (ring[i].X + ring[j].X) * f
-		cy += (ring[i].Y + ring[j].Y) * f
-	}
-	return XY{cx / (6 * a), cy / (6 * a)}
-}
-
 // HalfPlane is the set of points satisfying A*x + B*y <= C.
 type HalfPlane struct {
 	A, B, C float64
@@ -155,25 +131,6 @@ func intersectHalfPlane(a, b XY, h HalfPlane) XY {
 	da, db := h.Side(a), h.Side(b)
 	t := da / (da - db)
 	return XY{a.X + t*(b.X-a.X), a.Y + t*(b.Y-a.Y)}
-}
-
-// ClipRingConvex clips ring against every edge of the convex clip ring
-// (counter-clockwise winding), returning the intersection.
-func ClipRingConvex(ring, clip []XY) []XY {
-	out := ring
-	n := len(clip)
-	for i := 0; i < n && len(out) > 0; i++ {
-		a, b := clip[i], clip[(i+1)%n]
-		// For a CCW clip polygon the inside of edge a→b is its left side:
-		// cross(b-a, p-a) >= 0, rearranged into A*x + B*y <= C form.
-		h := HalfPlane{
-			A: b.Y - a.Y,
-			B: a.X - b.X,
-			C: a.X*b.Y - a.Y*b.X,
-		}
-		out = ClipRingHalfPlane(out, h)
-	}
-	return out
 }
 
 // SegmentPointDistance returns the planar distance from p to segment ab and
@@ -355,67 +312,6 @@ func crossesAntimeridian(line []geo.Point) bool {
 		}
 	}
 	return false
-}
-
-// Outline returns an approximate polygon outline of the buffer for
-// rendering: perpendicular offsets on each side with semicircular end caps.
-func (b Buffer) Outline() []geo.Point {
-	line := b.Line
-	if len(line) == 0 {
-		return nil
-	}
-	if len(line) == 1 {
-		return circle(line[0], b.RadiusKm, 24)
-	}
-	var left, right []geo.Point
-	for i := range line {
-		var brng float64
-		switch {
-		case i == 0:
-			brng = geo.InitialBearing(line[0], line[1])
-		case i == len(line)-1:
-			brng = geo.InitialBearing(line[len(line)-2], line[len(line)-1])
-		default:
-			b1 := geo.InitialBearing(line[i-1], line[i])
-			b2 := geo.InitialBearing(line[i], line[i+1])
-			brng = meanBearing(b1, b2)
-		}
-		left = append(left, geo.Destination(line[i], brng-90, b.RadiusKm))
-		right = append(right, geo.Destination(line[i], brng+90, b.RadiusKm))
-	}
-	out := make([]geo.Point, 0, 2*len(line)+18)
-	out = append(out, left...)
-	// End cap at the last vertex.
-	endBrng := geo.InitialBearing(line[len(line)-2], line[len(line)-1])
-	for a := -90.0; a <= 90; a += 22.5 {
-		out = append(out, geo.Destination(line[len(line)-1], endBrng+a, b.RadiusKm))
-	}
-	for i := len(right) - 1; i >= 0; i-- {
-		out = append(out, right[i])
-	}
-	// Start cap.
-	startBrng := geo.InitialBearing(line[1], line[0])
-	for a := -90.0; a <= 90; a += 22.5 {
-		out = append(out, geo.Destination(line[0], startBrng+a, b.RadiusKm))
-	}
-	out = append(out, out[0]) // close ring
-	return out
-}
-
-func meanBearing(b1, b2 float64) float64 {
-	r1, r2 := b1*math.Pi/180, b2*math.Pi/180
-	x := math.Cos(r1) + math.Cos(r2)
-	y := math.Sin(r1) + math.Sin(r2)
-	return math.Mod(math.Atan2(y, x)*180/math.Pi+360, 360)
-}
-
-func circle(c geo.Point, radiusKm float64, n int) []geo.Point {
-	out := make([]geo.Point, 0, n+1)
-	for i := 0; i < n; i++ {
-		out = append(out, geo.Destination(c, float64(i)*360/float64(n), radiusKm))
-	}
-	out = append(out, out[0])
-	return out
 }
 
 // Simplify applies Douglas–Peucker simplification with the given tolerance

@@ -61,7 +61,7 @@ func TestPointInPolygonWithHole(t *testing.T) {
 	}
 }
 
-func TestSignedAreaAndCentroid(t *testing.T) {
+func TestSignedArea(t *testing.T) {
 	ccw := unitSquare
 	if a := SignedArea(ccw); math.Abs(a-100) > 1e-9 {
 		t.Errorf("CCW area = %v, want 100", a)
@@ -69,16 +69,6 @@ func TestSignedAreaAndCentroid(t *testing.T) {
 	cw := []XY{{0, 0}, {0, 10}, {10, 10}, {10, 0}}
 	if a := SignedArea(cw); math.Abs(a+100) > 1e-9 {
 		t.Errorf("CW area = %v, want -100", a)
-	}
-	c := Centroid(ccw)
-	if math.Abs(c.X-5) > 1e-9 || math.Abs(c.Y-5) > 1e-9 {
-		t.Errorf("centroid = %v, want (5,5)", c)
-	}
-	// Degenerate ring falls back to vertex mean.
-	line := []XY{{0, 0}, {2, 0}, {4, 0}}
-	c2 := Centroid(line)
-	if math.Abs(c2.X-2) > 1e-9 || math.Abs(c2.Y) > 1e-9 {
-		t.Errorf("degenerate centroid = %v, want (2,0)", c2)
 	}
 }
 
@@ -150,19 +140,6 @@ func TestClipRingHalfPlaneAllInside(t *testing.T) {
 	out := ClipRingHalfPlane(unitSquare, h)
 	if len(out) != 4 || math.Abs(SignedArea(out)-100) > 1e-9 {
 		t.Errorf("unclipped ring changed: %v", out)
-	}
-}
-
-func TestClipRingConvex(t *testing.T) {
-	clip := []XY{{5, -5}, {15, -5}, {15, 15}, {5, 15}} // CCW square overlapping right half
-	out := ClipRingConvex(unitSquare, clip)
-	if a := math.Abs(SignedArea(out)); math.Abs(a-50) > 1e-9 {
-		t.Errorf("intersection area = %v, want 50", a)
-	}
-	// Disjoint clip yields empty.
-	far := []XY{{100, 100}, {110, 100}, {110, 110}, {100, 110}}
-	if out := ClipRingConvex(unitSquare, far); len(out) != 0 {
-		t.Errorf("disjoint clip should be empty, got %v", out)
 	}
 }
 
@@ -242,31 +219,6 @@ func TestBufferContains(t *testing.T) {
 	}
 	if !buf.BBox().Contains(nearby) {
 		t.Error("buffer bbox must cover contained points")
-	}
-}
-
-func TestBufferOutline(t *testing.T) {
-	line := []geo.Point{{Lon: 0, Lat: 0}, {Lon: 1, Lat: 0}, {Lon: 2, Lat: 0.5}}
-	buf := NewBuffer(line, 20)
-	out := buf.Outline()
-	if len(out) < 10 {
-		t.Fatalf("outline too short: %d points", len(out))
-	}
-	if out[0] != out[len(out)-1] {
-		t.Error("outline must be a closed ring")
-	}
-	// Every outline vertex should be ~radius from the line.
-	for _, p := range out[:len(out)-1] {
-		d, _ := DistanceToPolylineKm(p, line)
-		if d < 15 || d > 25 {
-			t.Errorf("outline vertex %v at %.1f km, want ~20", p, d)
-		}
-	}
-	if got := NewBuffer(nil, 5).Outline(); got != nil {
-		t.Error("empty line outline should be nil")
-	}
-	if got := NewBuffer(line[:1], 5).Outline(); len(got) < 4 {
-		t.Error("single-point outline should be a circle")
 	}
 }
 

@@ -79,13 +79,6 @@ func (g *Graph) ShortestPath(src, dst int) (path []int, weight float64, ok bool)
 	return g.NewSearch().ShortestPath(src, dst)
 }
 
-// ShortestPathWithHeuristic runs A*: h(n) must be an admissible lower bound
-// on the remaining distance from n to dst (e.g. great-circle distance for a
-// geographic graph).
-func (g *Graph) ShortestPathWithHeuristic(src, dst int, h func(int) float64) (path []int, weight float64, ok bool) {
-	return g.NewSearch().ShortestPathWithHeuristic(src, dst, h)
-}
-
 // AllShortestFrom returns the distance from src to every node (Inf when
 // unreachable).
 func (g *Graph) AllShortestFrom(src int) []float64 {

@@ -161,7 +161,7 @@ func TestAStarMatchesDijkstra(t *testing.T) {
 		src, dst := r.Intn(n), r.Intn(n)
 		_, w1, ok1 := g.ShortestPath(src, dst)
 		h := func(node int) float64 { return math.Abs(float64(node - dst)) }
-		_, w2, ok2 := g.ShortestPathWithHeuristic(src, dst, h)
+		_, w2, ok2 := g.NewSearch().ShortestPathWithHeuristic(src, dst, h)
 		if ok1 != ok2 || math.Abs(w1-w2) > 1e-9 {
 			t.Fatalf("A* %v/%v vs dijkstra %v/%v", w2, ok2, w1, ok1)
 		}

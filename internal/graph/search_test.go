@@ -136,7 +136,7 @@ func FuzzShortestPaths(f *testing.F) {
 
 // TestSearchReuseMatchesFresh: one Search answering a sequence of A*
 // queries (with Dijkstra and multi-destination queries between them)
-// returns what fresh ShortestPathWithHeuristic calls return, and follows
+// returns what a fresh Search returns for each, and follows
 // the graph when it grows.
 func TestSearchReuseMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -168,7 +168,7 @@ func TestSearchReuseMatchesFresh(t *testing.T) {
 			return math.Abs(float64(node - dst))
 		}
 		gotP, gotW, gotOK := s.ShortestPathWithHeuristic(src, dst, h)
-		wantP, wantW, wantOK := g.ShortestPathWithHeuristic(src, dst, h)
+		wantP, wantW, wantOK := g.NewSearch().ShortestPathWithHeuristic(src, dst, h)
 		if !reflect.DeepEqual(gotP, wantP) || gotW != wantW || gotOK != wantOK {
 			t.Fatalf("query %d %d→%d: reused %v %v %v, fresh %v %v %v", q, src, dst, gotP, gotW, gotOK, wantP, wantW, wantOK)
 		}

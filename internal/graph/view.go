@@ -132,14 +132,6 @@ func (v *View) AllShortestFrom(src int) []float64 {
 	return append([]float64(nil), s.dist...)
 }
 
-// ShortestPath returns the minimum-weight masked path from src to dst.
-func (v *View) ShortestPath(src, dst int) (path []int, weight float64, ok bool) {
-	if dst < 0 || dst >= v.g.Len() {
-		return nil, 0, false
-	}
-	return v.search(src, []int{dst}).path(src, dst)
-}
-
 // search runs the masked Dijkstra on the view's reused Search.
 func (v *View) search(src int, dsts []int) *Search {
 	if v.s == nil {

@@ -142,43 +142,3 @@ func (t *Trie) Lookup(addr uint32) (value int, ok bool) {
 	}
 	return value, ok
 }
-
-// LookupPrefix returns the most specific covering prefix and its value.
-func (t *Trie) LookupPrefix(addr uint32) (p Prefix, value int, ok bool) {
-	n := &t.root
-	if n.hasValue {
-		p, value, ok = Prefix{}, n.value, true
-	}
-	var prefixBits uint32
-	for i := 0; i < 32 && n != nil; i++ {
-		bit := (addr >> (31 - uint(i))) & 1
-		prefixBits |= bit << (31 - uint(i))
-		n = n.children[bit]
-		if n != nil && n.hasValue {
-			p = Prefix{Addr: prefixBits & Mask(i+1), Len: i + 1}
-			value, ok = n.value, true
-		}
-	}
-	return p, value, ok
-}
-
-// Walk visits every stored prefix in address order, stopping early if fn
-// returns false.
-func (t *Trie) Walk(fn func(p Prefix, value int) bool) {
-	var rec func(n *node, addr uint32, depth int) bool
-	rec = func(n *node, addr uint32, depth int) bool {
-		if n == nil {
-			return true
-		}
-		if n.hasValue {
-			if !fn(Prefix{Addr: addr, Len: depth}, n.value) {
-				return false
-			}
-		}
-		if !rec(n.children[0], addr, depth+1) {
-			return false
-		}
-		return rec(n.children[1], addr|1<<(31-uint(depth)), depth+1)
-	}
-	rec(&t.root, 0, 0)
-}

@@ -116,23 +116,6 @@ func TestTrieReplace(t *testing.T) {
 	}
 }
 
-func TestLookupPrefix(t *testing.T) {
-	tr := New()
-	tr.Insert(MustParsePrefix("10.0.0.0/8"), 100)
-	tr.Insert(MustParsePrefix("10.64.0.0/10"), 200)
-	p, v, ok := tr.LookupPrefix(MustParseAddr("10.65.1.1"))
-	if !ok || v != 200 || p.String() != "10.64.0.0/10" {
-		t.Errorf("got %s %d %v", p, v, ok)
-	}
-	p, v, ok = tr.LookupPrefix(MustParseAddr("10.1.1.1"))
-	if !ok || v != 100 || p.String() != "10.0.0.0/8" {
-		t.Errorf("got %s %d %v", p, v, ok)
-	}
-	if _, _, ok := tr.LookupPrefix(MustParseAddr("192.0.2.1")); ok {
-		t.Error("no covering prefix expected")
-	}
-}
-
 func TestTrieMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	tr := New()
@@ -173,30 +156,6 @@ func TestTrieMatchesLinearScan(t *testing.T) {
 		if gok != wok || (gok && got != want) {
 			t.Fatalf("addr %s: trie %d,%v vs scan %d,%v", FormatAddr(addr), got, gok, want, wok)
 		}
-	}
-}
-
-func TestWalkOrderAndEarlyStop(t *testing.T) {
-	tr := New()
-	tr.Insert(MustParsePrefix("10.0.0.0/8"), 1)
-	tr.Insert(MustParsePrefix("9.0.0.0/8"), 2)
-	tr.Insert(MustParsePrefix("10.1.0.0/16"), 3)
-	var seen []string
-	tr.Walk(func(p Prefix, v int) bool {
-		seen = append(seen, p.String())
-		return true
-	})
-	want := []string{"9.0.0.0/8", "10.0.0.0/8", "10.1.0.0/16"}
-	if len(seen) != 3 || seen[0] != want[0] || seen[1] != want[1] || seen[2] != want[2] {
-		t.Errorf("walk order = %v, want %v", seen, want)
-	}
-	count := 0
-	tr.Walk(func(p Prefix, v int) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("early stop visited %d, want 1", count)
 	}
 }
 

@@ -74,20 +74,12 @@ type Logger struct {
 	w     io.Writer        // the sink; guarded by mu
 	json  bool             // JSON lines instead of key=value text; guarded by mu
 	level Level            // minimum level emitted; guarded by mu
-	base  []Field          // fields prepended to every record (With); guarded by mu
 	now   func() time.Time // injectable clock (tests); guarded by mu
 }
 
 // New returns a text-mode Logger at LevelInfo writing to w.
 func New(w io.Writer) *Logger {
 	return &Logger{w: w, level: LevelInfo, now: time.Now}
-}
-
-// NewJSON returns a JSON-lines Logger at LevelInfo writing to w.
-func NewJSON(w io.Writer) *Logger {
-	l := New(w)
-	l.json = true
-	return l
 }
 
 // FromEnv returns a Logger writing to w configured by IGDB_LOG_FORMAT
@@ -113,39 +105,6 @@ func (l *Logger) SetJSON(on bool) {
 	l.mu.Unlock()
 }
 
-// SetLevel sets the minimum emitted level.
-func (l *Logger) SetLevel(v Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.level = v
-	l.mu.Unlock()
-}
-
-// Enabled reports whether records at level v would be emitted.
-func (l *Logger) Enabled(v Level) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return v >= l.level
-}
-
-// With returns a child Logger that prepends fields to every record. It
-// shares the parent's sink and settings at call time.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	child := &Logger{w: l.w, json: l.json, level: l.level, now: l.now}
-	child.base = append(append([]Field{}, l.base...), fields...)
-	return child
-}
-
 // Debug emits a debug-level record.
 func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
 
@@ -169,9 +128,9 @@ func (l *Logger) log(v Level, msg string, fields []Field) {
 	}
 	var line string
 	if l.json {
-		line = renderJSON(l.stamp(), v, msg, l.base, fields)
+		line = renderJSON(l.stamp(), v, msg, fields)
 	} else {
-		line = renderText(l.stamp(), v, msg, l.base, fields)
+		line = renderText(l.stamp(), v, msg, fields)
 	}
 	if l.w != nil {
 		fmt.Fprintln(l.w, line)
@@ -191,7 +150,7 @@ func (l *Logger) stamp() string {
 
 // renderText emits ts=... level=... msg=... k=v ... with quoting only where
 // needed, so lines stay grep-friendly.
-func renderText(ts string, v Level, msg string, base, fields []Field) string {
+func renderText(ts string, v Level, msg string, fields []Field) string {
 	var b strings.Builder
 	b.WriteString("ts=")
 	b.WriteString(ts)
@@ -199,9 +158,6 @@ func renderText(ts string, v Level, msg string, base, fields []Field) string {
 	b.WriteString(v.String())
 	b.WriteString(" msg=")
 	b.WriteString(quoteValue(msg))
-	for _, f := range base {
-		writeTextField(&b, f)
-	}
 	for _, f := range fields {
 		writeTextField(&b, f)
 	}
@@ -251,7 +207,7 @@ func quoteValue(s string) string {
 }
 
 // renderJSON emits one JSON object per record with fields in call order.
-func renderJSON(ts string, v Level, msg string, base, fields []Field) string {
+func renderJSON(ts string, v Level, msg string, fields []Field) string {
 	var b strings.Builder
 	b.WriteString(`{"ts":`)
 	b.WriteString(strconv.Quote(ts))
@@ -260,9 +216,6 @@ func renderJSON(ts string, v Level, msg string, base, fields []Field) string {
 	b.WriteString(`,"msg":`)
 	b.WriteString(strconv.Quote(msg))
 	seen := map[string]bool{"ts": true, "level": true, "msg": true}
-	for _, f := range base {
-		writeJSONField(&b, f, seen)
-	}
 	for _, f := range fields {
 		writeJSONField(&b, f, seen)
 	}

@@ -28,7 +28,8 @@ func TestTextFormat(t *testing.T) {
 
 func TestJSONFormat(t *testing.T) {
 	var buf strings.Builder
-	l := NewJSON(&buf)
+	l := New(&buf)
+	l.SetJSON(true)
 	l.now = fixedClock()
 	l.Error("boom", F("err", errors.New("it broke")), F("retries", 3), F("took", 158*time.Millisecond))
 	var rec map[string]interface{}
@@ -46,9 +47,10 @@ func TestJSONFormat(t *testing.T) {
 }
 
 func TestLevelFiltering(t *testing.T) {
+	t.Setenv("IGDB_LOG_LEVEL", "warn")
+	t.Setenv("IGDB_LOG_FORMAT", "text")
 	var buf strings.Builder
-	l := New(&buf)
-	l.SetLevel(LevelWarn)
+	l := FromEnv(&buf)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
@@ -57,31 +59,12 @@ func TestLevelFiltering(t *testing.T) {
 	if len(lines) != 2 || !strings.Contains(lines[0], "level=warn") || !strings.Contains(lines[1], "level=error") {
 		t.Fatalf("filtered output = %q", buf.String())
 	}
-	if l.Enabled(LevelInfo) || !l.Enabled(LevelError) {
-		t.Fatal("Enabled disagrees with SetLevel")
-	}
-}
-
-func TestWithFields(t *testing.T) {
-	var buf strings.Builder
-	l := New(&buf).With(F("component", "serve"))
-	l.Info("ready", F("addr", ":8080"))
-	if got := buf.String(); !strings.Contains(got, "component=serve addr=:8080") {
-		t.Fatalf("With fields missing: %q", got)
-	}
 }
 
 func TestNilLoggerIsSafe(t *testing.T) {
 	var l *Logger
 	l.Info("ignored", F("k", "v"))
-	l.SetLevel(LevelDebug)
 	l.SetJSON(true)
-	if l.With(F("a", 1)) != nil {
-		t.Fatal("With on nil should stay nil")
-	}
-	if l.Enabled(LevelError) {
-		t.Fatal("nil logger must report disabled")
-	}
 }
 
 // countingWriter counts the lines written to it.

@@ -27,7 +27,6 @@ type Stmt struct {
 	db      *DB
 	sel     *SelectStmt
 	explain *ExplainStmt // non-nil when the statement is EXPLAIN [ANALYZE]
-	sql     string
 	closed  atomic.Bool
 }
 
@@ -44,14 +43,14 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 	}
 	switch s := st.(type) {
 	case *SelectStmt:
-		return &Stmt{db: db, sel: s, sql: sql}, nil
+		return &Stmt{db: db, sel: s}, nil
 	case *ExplainStmt:
 		if s.Analyze {
 			if _, ok := s.Stmt.(*SelectStmt); !ok {
 				return nil, fmt.Errorf("%w (EXPLAIN ANALYZE of %s)", ErrNotSelect, StatementKind(s.Stmt))
 			}
 		}
-		return &Stmt{db: db, explain: s, sql: sql}, nil
+		return &Stmt{db: db, explain: s}, nil
 	default:
 		return nil, fmt.Errorf("%w (got %s)", ErrNotSelect, StatementKind(st))
 	}
@@ -117,9 +116,6 @@ func (s *Stmt) Close() error {
 	s.closed.Store(true)
 	return nil
 }
-
-// SQL returns the statement text the plan was prepared from.
-func (s *Stmt) SQL() string { return s.sql }
 
 // StatementKind names a parsed statement's type ("SELECT", "INSERT", ...),
 // for error messages and statement-type gating.

@@ -243,43 +243,11 @@ func (m *Map) SVG() []byte {
 
 // ---- GeoJSON ----
 
-// FeatureCollection builds a GeoJSON document from WKT geometries.
-type FeatureCollection struct {
-	features []feature
-}
-
+// feature is one GeoJSON Feature as FeatureWriter encodes it.
 type feature struct {
 	Type       string                 `json:"type"`
 	Geometry   json.RawMessage        `json:"geometry"`
 	Properties map[string]interface{} `json:"properties"`
-}
-
-// Add appends a feature; properties may be nil.
-func (fc *FeatureCollection) Add(g wkt.Geometry, props map[string]interface{}) error {
-	gj, err := geometryJSON(g)
-	if err != nil {
-		return err
-	}
-	if props == nil {
-		props = map[string]interface{}{}
-	}
-	fc.features = append(fc.features, feature{Type: "Feature", Geometry: gj, Properties: props})
-	return nil
-}
-
-// Len returns the number of features.
-func (fc *FeatureCollection) Len() int { return len(fc.features) }
-
-// Marshal renders the document.
-func (fc *FeatureCollection) Marshal() ([]byte, error) {
-	doc := struct {
-		Type     string    `json:"type"`
-		Features []feature `json:"features"`
-	}{Type: "FeatureCollection", Features: fc.features}
-	if doc.Features == nil {
-		doc.Features = []feature{}
-	}
-	return json.Marshal(doc)
 }
 
 func coord(p geo.Point) []float64 { return []float64{p.Lon, p.Lat} }

@@ -1,7 +1,6 @@
 package replicate
 
 import (
-	"errors"
 	"time"
 
 	"igdb/internal/ingest"
@@ -73,7 +72,3 @@ func (a *Artifact) Chunk(hash string) ([]byte, bool) {
 	data, ok := a.chunks[hash]
 	return data, ok
 }
-
-// ErrNotReplicating reports that no artifact is available (the node is not
-// a leader, or the artifact is still being encoded).
-var ErrNotReplicating = errors.New("replicate: no snapshot artifact available")

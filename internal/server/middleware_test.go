@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,9 +90,16 @@ func logLines(t *testing.T, buf *bytes.Buffer) []map[string]interface{} {
 	return out
 }
 
+// jsonLogger returns a JSON-lines logger writing to w.
+func jsonLogger(w io.Writer) *obs.Logger {
+	l := obs.New(w)
+	l.SetJSON(true)
+	return l
+}
+
 func TestAccessLogFields(t *testing.T) {
 	var buf bytes.Buffer
-	s := newTestServer(t, Config{Logger: obs.NewJSON(&buf)})
+	s := newTestServer(t, Config{Logger: jsonLogger(&buf)})
 	buf.Reset() // drop build-time lines; only the access log matters here
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	req.Header.Set("X-Request-ID", "log-req-1")
@@ -133,7 +141,7 @@ func TestPanicRecoveryLogsRequestID(t *testing.T) {
 		cfg:     Config{RequestTimeout: time.Second},
 		metrics: newMetrics(),
 		sem:     make(chan struct{}, 1),
-		logger:  obs.NewJSON(&buf),
+		logger:  jsonLogger(&buf),
 	}
 	h := s.wrap("/boom", true, func(http.ResponseWriter, *http.Request) { panic("kaboom") })
 	req := httptest.NewRequest("GET", "/boom", nil)

@@ -1,8 +1,7 @@
-// Package spatial provides the spatial indexes behind iGDB's GIS
+// Package spatial provides the spatial index behind iGDB's GIS
 // operations: a k-d tree over unit-sphere coordinates for exact
-// nearest-neighbour and radius queries (the spatial join that standardizes
-// every node to its closest urban area), and a uniform lon/lat grid for
-// bounding-box prefiltering (buffer joins).
+// nearest-neighbour queries (the spatial join that standardizes every node
+// to its closest urban area).
 //
 // The k-d tree stores points as 3-D unit vectors and compares chord
 // distances, which are strictly monotone in great-circle distance, so
@@ -55,15 +54,6 @@ func chordToKm(chord float64) float64 {
 		h = 1
 	}
 	return 2 * geo.EarthRadiusKm * math.Asin(h)
-}
-
-// kmToChord converts great-circle kilometers to a unit-sphere chord length.
-func kmToChord(km float64) float64 {
-	a := km / (2 * geo.EarthRadiusKm)
-	if a > math.Pi/2 {
-		a = math.Pi / 2
-	}
-	return 2 * math.Sin(a)
 }
 
 type node struct {
@@ -219,100 +209,6 @@ func (t *KDTree) KNearest(p geo.Point, k int) []Result {
 			e  Entry
 		})
 		out[i] = Result{Entry: item.e, Km: chordToKm(math.Sqrt(item.d2))}
-	}
-	return out
-}
-
-// Within returns all entries within radiusKm of p, ordered nearest first.
-func (t *KDTree) Within(p geo.Point, radiusKm float64) []Result {
-	if t.root == nil || radiusKm < 0 {
-		return nil
-	}
-	q := toVec(p)
-	maxChord := kmToChord(radiusKm)
-	max2 := maxChord * maxChord
-	var out []Result
-	var search func(n *node)
-	search = func(n *node) {
-		if n == nil {
-			return
-		}
-		if d := chord2(q, n.v); d <= max2 {
-			out = append(out, Result{Entry: n.entry, Km: chordToKm(math.Sqrt(d))})
-		}
-		delta := q.axis(n.axis) - n.v.axis(n.axis)
-		near, far := n.left, n.right
-		if delta > 0 {
-			near, far = far, near
-		}
-		search(near)
-		if delta*delta <= max2 {
-			search(far)
-		}
-	}
-	search(t.root)
-	sort.Slice(out, func(i, j int) bool { return out[i].Km < out[j].Km })
-	return out
-}
-
-// Grid is a uniform lon/lat bucket index for bounding-box queries.
-type Grid struct {
-	cellDeg float64
-	cells   map[[2]int][]Entry
-	size    int
-}
-
-// NewGrid creates a grid with the given cell size in degrees.
-func NewGrid(cellDeg float64) *Grid {
-	if cellDeg <= 0 {
-		cellDeg = 1
-	}
-	return &Grid{cellDeg: cellDeg, cells: make(map[[2]int][]Entry)}
-}
-
-func (g *Grid) key(p geo.Point) [2]int {
-	return [2]int{int(math.Floor(p.Lon / g.cellDeg)), int(math.Floor(p.Lat / g.cellDeg))}
-}
-
-// Insert adds an entry to the grid.
-func (g *Grid) Insert(e Entry) {
-	k := g.key(e.P)
-	g.cells[k] = append(g.cells[k], e)
-	g.size++
-}
-
-// Len returns the number of inserted entries.
-func (g *Grid) Len() int { return g.size }
-
-// Query returns all entries whose point lies inside the box.
-func (g *Grid) Query(b geo.BBox) []Entry {
-	lo := [2]int{int(math.Floor(b.MinLon / g.cellDeg)), int(math.Floor(b.MinLat / g.cellDeg))}
-	hi := [2]int{int(math.Floor(b.MaxLon / g.cellDeg)), int(math.Floor(b.MaxLat / g.cellDeg))}
-	var out []Entry
-	for cx := lo[0]; cx <= hi[0]; cx++ {
-		for cy := lo[1]; cy <= hi[1]; cy++ {
-			for _, e := range g.cells[[2]int{cx, cy}] {
-				if b.Contains(e.P) {
-					out = append(out, e)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// NearestJoin assigns each point to the nearest site in the index and
-// returns a parallel slice of site IDs with distances — the core spatial
-// join behind iGDB's location standardization (§3.1).
-func NearestJoin(points []geo.Point, sites *KDTree) []Result {
-	out := make([]Result, len(points))
-	for i, p := range points {
-		e, km, ok := sites.Nearest(p)
-		if !ok {
-			out[i] = Result{Entry: Entry{ID: -1}, Km: math.Inf(1)}
-			continue
-		}
-		out[i] = Result{Entry: e, Km: km}
 	}
 	return out
 }

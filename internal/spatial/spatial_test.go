@@ -87,9 +87,6 @@ func TestKDTreeEmpty(t *testing.T) {
 	if got := tree.KNearest(geo.Point{}, 3); got != nil {
 		t.Error("empty tree KNearest should be nil")
 	}
-	if got := tree.Within(geo.Point{}, 100); got != nil {
-		t.Error("empty tree Within should be nil")
-	}
 }
 
 func TestKNearestMatchesBruteForce(t *testing.T) {
@@ -130,93 +127,6 @@ func TestKNearestKLargerThanTree(t *testing.T) {
 	}
 	if got := tree.KNearest(geo.Point{}, 0); got != nil {
 		t.Error("k=0 should return nil")
-	}
-}
-
-func TestWithinMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	entries := randEntries(r, 400)
-	tree := NewKDTree(entries)
-	for q := 0; q < 50; q++ {
-		p := randPoint(r)
-		radius := r.Float64() * 3000
-		got := tree.Within(p, radius)
-		want := 0
-		for _, e := range entries {
-			if geo.Haversine(p, e.P) <= radius+1e-9 {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("Within(%v, %.0f) = %d entries, brute force %d", p, radius, len(got), want)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1].Km > got[i].Km {
-				t.Fatal("Within results not sorted")
-			}
-		}
-		for _, res := range got {
-			if res.Km > radius+1e-6 {
-				t.Fatalf("entry at %.2f km exceeds radius %.2f", res.Km, radius)
-			}
-		}
-	}
-}
-
-func TestWithinNegativeRadius(t *testing.T) {
-	tree := NewKDTree([]Entry{{P: geo.Point{}, ID: 0}})
-	if got := tree.Within(geo.Point{}, -1); got != nil {
-		t.Error("negative radius should return nil")
-	}
-}
-
-func TestGridQuery(t *testing.T) {
-	g := NewGrid(5)
-	pts := []geo.Point{
-		{Lon: 0, Lat: 0}, {Lon: 1, Lat: 1}, {Lon: 10, Lat: 10}, {Lon: -20, Lat: 30}, {Lon: 179, Lat: -89},
-	}
-	for i, p := range pts {
-		g.Insert(Entry{P: p, ID: i})
-	}
-	if g.Len() != 5 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	got := g.Query(geo.BBox{MinLon: -1, MinLat: -1, MaxLon: 2, MaxLat: 2})
-	if len(got) != 2 {
-		t.Errorf("query returned %d entries, want 2", len(got))
-	}
-	// Box straddling cells.
-	got = g.Query(geo.BBox{MinLon: -25, MinLat: -90, MaxLon: 180, MaxLat: 35})
-	if len(got) != 5 {
-		t.Errorf("big box returned %d, want 5", len(got))
-	}
-	got = g.Query(geo.BBox{MinLon: 100, MinLat: 50, MaxLon: 110, MaxLat: 60})
-	if len(got) != 0 {
-		t.Errorf("empty region returned %d", len(got))
-	}
-}
-
-func TestGridDefaultCellSize(t *testing.T) {
-	g := NewGrid(0)
-	g.Insert(Entry{P: geo.Point{Lon: 0.5, Lat: 0.5}, ID: 1})
-	if got := g.Query(geo.BBox{MaxLon: 1, MaxLat: 1}); len(got) != 1 {
-		t.Error("grid with defaulted cell size should still work")
-	}
-}
-
-func TestNearestJoin(t *testing.T) {
-	sites := NewKDTree([]Entry{
-		{P: geo.Point{Lon: 0, Lat: 0}, ID: 100},
-		{P: geo.Point{Lon: 50, Lat: 0}, ID: 200},
-	})
-	pts := []geo.Point{{Lon: 1, Lat: 1}, {Lon: 49, Lat: 1}, {Lon: 25.1, Lat: 0}}
-	res := NearestJoin(pts, sites)
-	if res[0].Entry.ID != 100 || res[1].Entry.ID != 200 || res[2].Entry.ID != 200 {
-		t.Errorf("join IDs = %d,%d,%d", res[0].Entry.ID, res[1].Entry.ID, res[2].Entry.ID)
-	}
-	empty := NearestJoin(pts, NewKDTree(nil))
-	if empty[0].Entry.ID != -1 || !math.IsInf(empty[0].Km, 1) {
-		t.Error("join against empty index should yield ID -1, Inf")
 	}
 }
 

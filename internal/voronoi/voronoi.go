@@ -138,21 +138,6 @@ func closeRing(ring []geom.XY) []geo.Point {
 	return out
 }
 
-// Locate returns the index of the site whose cell contains p (the planar
-// nearest site), or -1 for an empty diagram.
-func (d *Diagram) Locate(p geo.Point) int {
-	best := -1
-	bestD := math.Inf(1)
-	for i, s := range d.Sites {
-		dx, dy := s.Lon-p.Lon, s.Lat-p.Lat
-		if dd := dx*dx + dy*dy; dd < bestD {
-			bestD = dd
-			best = i
-		}
-	}
-	return best
-}
-
 // CellArea returns the planar (degree²) area of cell i, 0 when absent.
 func (d *Diagram) CellArea(i int) float64 {
 	c := d.Cells[i]

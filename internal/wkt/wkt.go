@@ -88,54 +88,6 @@ func NewPolygon(rings [][]geo.Point) Geometry {
 	return Geometry{Kind: KindPolygon, Rings: rings, Empty: len(rings) == 0}
 }
 
-// NewMultiLineString wraps multiple polylines as a Geometry.
-func NewMultiLineString(lines [][]geo.Point) Geometry {
-	return Geometry{Kind: KindMultiLineString, Lines: lines, Empty: len(lines) == 0}
-}
-
-// BBox returns the geometry's bounding box over all coordinates.
-func (g Geometry) BBox() geo.BBox {
-	b := geo.EmptyBBox()
-	for _, p := range g.AllPoints() {
-		b = b.Extend(p)
-	}
-	return b
-}
-
-// AllPoints returns every coordinate in the geometry, in encounter order.
-func (g Geometry) AllPoints() []geo.Point {
-	var out []geo.Point
-	switch g.Kind {
-	case KindPoint:
-		if !g.Empty {
-			out = append(out, g.Point)
-		}
-	case KindLineString:
-		out = append(out, g.Line...)
-	case KindPolygon:
-		for _, r := range g.Rings {
-			out = append(out, r...)
-		}
-	case KindMultiPoint:
-		out = append(out, g.Points...)
-	case KindMultiLineString:
-		for _, l := range g.Lines {
-			out = append(out, l...)
-		}
-	case KindMultiPolygon:
-		for _, poly := range g.Polygons {
-			for _, r := range poly {
-				out = append(out, r...)
-			}
-		}
-	case KindGeometryCollection:
-		for _, sub := range g.Geoms {
-			out = append(out, sub.AllPoints()...)
-		}
-	}
-	return out
-}
-
 // Marshal serializes the geometry to canonical WKT.
 func Marshal(g Geometry) string {
 	var b strings.Builder

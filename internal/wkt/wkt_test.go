@@ -197,25 +197,6 @@ func TestRoundTripPropertyLineString(t *testing.T) {
 	}
 }
 
-func TestBBoxAndAllPoints(t *testing.T) {
-	g := MustParse("MULTILINESTRING ((0 0, 10 5), (-5 -2, 3 3))")
-	b := g.BBox()
-	want := geo.BBox{MinLon: -5, MinLat: -2, MaxLon: 10, MaxLat: 5}
-	if b != want {
-		t.Errorf("bbox = %+v, want %+v", b, want)
-	}
-	if n := len(g.AllPoints()); n != 4 {
-		t.Errorf("AllPoints len = %d, want 4", n)
-	}
-}
-
-func TestAllPointsNestedCollection(t *testing.T) {
-	g := MustParse("GEOMETRYCOLLECTION (GEOMETRYCOLLECTION (POINT (1 1)), POINT (2 2))")
-	if n := len(g.AllPoints()); n != 2 {
-		t.Errorf("nested collection AllPoints = %d, want 2", n)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindPolygon.String() != "POLYGON" {
 		t.Error("KindPolygon name wrong")
