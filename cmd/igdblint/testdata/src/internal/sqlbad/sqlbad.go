@@ -62,6 +62,20 @@ func drift(db *reldb.DB) {
 	db.MustQuery("EXPLAIN SELECT nope FROM asn_loc")                           // want `sqlcheck: no column "nope"`
 }
 
+// A plain EXPLAIN of a write resolves its table, columns, arity and
+// expressions as running the write would, so each of these fails too.
+func explainDrift(db *reldb.DB) {
+	db.MustQuery("EXPLAIN DELETE FROM nope")                       // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN UPDATE nope SET x = 1")                  // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN INSERT INTO nope VALUES (1)")            // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN UPDATE asn_loc SET zz = 1")              // want `sqlcheck: no column "zz" in table "asn_loc"`
+	db.MustQuery("EXPLAIN INSERT INTO asn_loc (zz) VALUES (1)")    // want `sqlcheck: no column "zz" in table "asn_loc"`
+	db.MustQuery("EXPLAIN INSERT INTO asn_name VALUES (1)")        // want `sqlcheck: INSERT expects 4 values, got 1`
+	db.MustQuery("EXPLAIN DELETE FROM asn_loc WHERE metroo = 'x'") // want `sqlcheck: no column "metroo"`
+	db.MustQuery("EXPLAIN UPDATE asn_loc SET metro = metroo")      // want `sqlcheck: no column "metroo"`
+	db.MustQuery("EXPLAIN DELETE FROM asn_loc WHERE asn = 1")      // clean
+}
+
 // Each statement runs in its own database, so a write checks only itself:
 // the DROP does not hide asn_loc from the SELECT after it.
 func isolated(db *reldb.DB) {
@@ -72,4 +86,4 @@ func isolated(db *reldb.DB) {
 // The corpus exists to be linted, not linked into a program; these
 // references keep the callgraph analyzer's dead-code rule from
 // drowning the package's own golden findings.
-var _ = []any{badColumn, badTable, localTable, boundOnlyByTheEngine, drift, isolated}
+var _ = []any{badColumn, badTable, localTable, boundOnlyByTheEngine, drift, explainDrift, isolated}

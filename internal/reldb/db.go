@@ -308,53 +308,131 @@ func (db *DB) dropTable(s *DropTableStmt) error {
 	return nil
 }
 
+// boundDML is an INSERT, UPDATE or DELETE resolved against its table:
+// the table, the position of every column it writes, INSERT's arity and
+// every expression bound. The executors and EXPLAIN share it, so a plain
+// EXPLAIN fails on the names execution would fail on.
+type boundDML struct {
+	t       *Table
+	targets []int      // INSERT and UPDATE: table position of each written column
+	rows    [][]*bexpr // INSERT: the VALUES rows, one expression per target
+	where   *bexpr     // UPDATE and DELETE; nil matches every row
+	sets    []*bexpr   // UPDATE: the value written to each target
+}
+
+// bindDML resolves st, an INSERT, UPDATE or DELETE. The caller holds
+// db.mu.
+func (db *DB) bindDML(st Statement) (*boundDML, error) {
+	var name string
+	switch s := st.(type) {
+	case *InsertStmt:
+		name = s.Table
+	case *DeleteStmt:
+		name = s.Table
+	case *UpdateStmt:
+		name = s.Table
+	}
+	//lint:ignore guardedby callers hold db.mu
+	t, ok := db.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("reldb: no such table %q", name)
+	}
+	b := &boundDML{t: t}
+	column := func(c string) (int, error) {
+		i := t.ColumnIndex(c)
+		if i < 0 {
+			return 0, fmt.Errorf("reldb: no column %q in table %q", c, name)
+		}
+		return i, nil
+	}
+	var err error
+	switch s := st.(type) {
+	case *InsertStmt:
+		if len(s.Columns) == 0 {
+			for i := range t.Cols {
+				b.targets = append(b.targets, i)
+			}
+		}
+		for _, c := range s.Columns {
+			i, err := column(c)
+			if err != nil {
+				return nil, err
+			}
+			b.targets = append(b.targets, i)
+		}
+		values := binder{db: db, clause: "VALUES"}
+		b.rows = make([][]*bexpr, len(s.Rows))
+		for r, exprRow := range s.Rows {
+			if len(exprRow) != len(b.targets) {
+				return nil, fmt.Errorf("reldb: INSERT expects %d values, got %d", len(b.targets), len(exprRow))
+			}
+			b.rows[r] = make([]*bexpr, len(exprRow))
+			for i, e := range exprRow {
+				if b.rows[r][i], err = values.bind(e); err != nil {
+					return nil, err
+				}
+			}
+		}
+	case *DeleteStmt:
+		if b.where, err = tableBinder(db, t, "WHERE").bind(s.Where); err != nil {
+			return nil, err
+		}
+	case *UpdateStmt:
+		b.targets = make([]int, len(s.Sets))
+		for i, set := range s.Sets {
+			if b.targets[i], err = column(set.Column); err != nil {
+				return nil, err
+			}
+		}
+		bd := tableBinder(db, t, "WHERE")
+		if b.where, err = bd.bind(s.Where); err != nil {
+			return nil, err
+		}
+		bd.clause = "SET"
+		b.sets = make([]*bexpr, len(s.Sets))
+		for i, set := range s.Sets {
+			if b.sets[i], err = bd.bind(set.Value); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
+// tableBinder binds the expressions of a DELETE or UPDATE, which run on
+// one table's rows.
+func tableBinder(db *DB, t *Table, clause string) binder {
+	sch := newSchema()
+	sch.addTable(t.Name, t)
+	return binder{db: db, sch: sch, clause: clause}
+}
+
 func (db *DB) insert(s *InsertStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, fmt.Errorf("reldb: no such table %q", s.Table)
+	b, err := db.bindDML(s)
+	if err != nil {
+		return 0, err
 	}
-	// Map the insert column list to table positions.
-	positions := make([]int, 0, len(t.Cols))
-	if len(s.Columns) == 0 {
-		for i := range t.Cols {
-			positions = append(positions, i)
-		}
-	} else {
-		for _, c := range s.Columns {
-			i := t.ColumnIndex(c)
-			if i < 0 {
-				return 0, fmt.Errorf("reldb: no column %q in table %q", c, s.Table)
-			}
-			positions = append(positions, i)
-		}
-	}
-	values := binder{db: db, clause: "VALUES"}
+	t := b.t
 	env := &evalEnv{}
 	inserted := 0
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(positions) {
-			return inserted, fmt.Errorf("reldb: INSERT expects %d values, got %d", len(positions), len(exprRow))
-		}
+	for _, exprRow := range b.rows {
 		row := make([]Value, len(t.Cols))
 		for i := range row {
 			row[i] = Null
 		}
-		for i, e := range exprRow {
-			x, err := values.bind(e)
-			if err != nil {
-				return inserted, err
-			}
+		for i, x := range exprRow {
 			v, err := env.eval(x)
 			if err != nil {
 				return inserted, err
 			}
-			cv, err := coerce(v, t.Cols[positions[i]].Type)
+			pos := b.targets[i]
+			cv, err := coerce(v, t.Cols[pos].Type)
 			if err != nil {
-				return inserted, fmt.Errorf("reldb: column %q: %v", t.Cols[positions[i]].Name, err)
+				return inserted, fmt.Errorf("reldb: column %q: %v", t.Cols[pos].Name, err)
 			}
-			row[positions[i]] = cv
+			row[pos] = cv
 		}
 		t.appendRow(row)
 		inserted++
@@ -365,20 +443,17 @@ func (db *DB) insert(s *InsertStmt) (int, error) {
 func (db *DB) deleteRows(s *DeleteStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, fmt.Errorf("reldb: no such table %q", s.Table)
-	}
-	where, err := tableBinder(db, t, "WHERE").bind(s.Where)
+	b, err := db.bindDML(s)
 	if err != nil {
 		return 0, err
 	}
+	t := b.t
 	kept := t.Rows[:0]
 	deleted := 0
 	env := &evalEnv{}
 	for _, row := range t.Rows {
 		env.row = row
-		match, err := env.holds(where)
+		match, err := env.holds(b.where)
 		if err != nil {
 			return 0, err
 		}
@@ -393,47 +468,19 @@ func (db *DB) deleteRows(s *DeleteStmt) (int, error) {
 	return deleted, nil
 }
 
-// tableBinder binds the expressions of a DELETE or UPDATE, which run on
-// one table's rows.
-func tableBinder(db *DB, t *Table, clause string) binder {
-	sch := newSchema()
-	sch.addTable(t.Name, t)
-	return binder{db: db, sch: sch, clause: clause}
-}
-
 func (db *DB) updateRows(s *UpdateStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, fmt.Errorf("reldb: no such table %q", s.Table)
-	}
-	// Resolve target columns first.
-	targets := make([]int, len(s.Sets))
-	for i, set := range s.Sets {
-		c := t.ColumnIndex(set.Column)
-		if c < 0 {
-			return 0, fmt.Errorf("reldb: no column %q in table %q", set.Column, s.Table)
-		}
-		targets[i] = c
-	}
-	bd := tableBinder(db, t, "WHERE")
-	where, err := bd.bind(s.Where)
+	b, err := db.bindDML(s)
 	if err != nil {
 		return 0, err
 	}
-	bd.clause = "SET"
-	values := make([]*bexpr, len(s.Sets))
-	for i, set := range s.Sets {
-		if values[i], err = bd.bind(set.Value); err != nil {
-			return 0, err
-		}
-	}
+	t := b.t
 	updated := 0
 	env := &evalEnv{}
 	for rowID, row := range t.Rows {
 		env.row = row
-		match, err := env.holds(where)
+		match, err := env.holds(b.where)
 		if err != nil {
 			return updated, err
 		}
@@ -442,16 +489,16 @@ func (db *DB) updateRows(s *UpdateStmt) (int, error) {
 		}
 		newRow := make([]Value, len(row))
 		copy(newRow, row)
-		for i := range s.Sets {
-			v, err := env.eval(values[i])
+		for i, x := range b.sets {
+			v, err := env.eval(x)
 			if err != nil {
 				return updated, err
 			}
-			cv, err := coerce(v, t.Cols[targets[i]].Type)
+			cv, err := coerce(v, t.Cols[b.targets[i]].Type)
 			if err != nil {
 				return updated, err
 			}
-			newRow[targets[i]] = cv
+			newRow[b.targets[i]] = cv
 		}
 		t.Rows[rowID] = newRow
 		updated++

@@ -381,6 +381,12 @@ func (db *DB) explainLocked(ctx context.Context, ex *ExplainStmt) (*PlanNode, er
 		if ex.Analyze {
 			return nil, fmt.Errorf("reldb: EXPLAIN ANALYZE supports only SELECT (got %s)", StatementKind(ex.Stmt))
 		}
+		switch ex.Stmt.(type) {
+		case *InsertStmt, *UpdateStmt, *DeleteStmt:
+			if _, err := db.bindDML(ex.Stmt); err != nil {
+				return nil, err
+			}
+		}
 		return staticPlan(ex.Stmt), nil
 	}
 }

@@ -572,6 +572,14 @@ func TestValidateStatementCatchesDrift(t *testing.T) {
 		{`DROP TABLE nope`, `no such table "nope"`},
 		{`CREATE INDEX ON asn_loc (nope)`, `no column "nope" in table "asn_loc"`},
 		{`SELECT metro`, `no column "metro"`},
+		{`EXPLAIN DELETE FROM nope`, `no such table "nope"`},
+		{`EXPLAIN UPDATE nope SET x = 1`, `no such table "nope"`},
+		{`EXPLAIN INSERT INTO nope VALUES (1)`, `no such table "nope"`},
+		{`EXPLAIN UPDATE asn_loc SET zz = 1`, `no column "zz" in table "asn_loc"`},
+		{`EXPLAIN INSERT INTO asn_loc (zz) VALUES (1)`, `no column "zz" in table "asn_loc"`},
+		{`EXPLAIN INSERT INTO asn_name VALUES (1)`, `INSERT expects 3 values, got 1`},
+		{`EXPLAIN DELETE FROM asn_loc WHERE metroo = 'x'`, `no column "metroo"`},
+		{`EXPLAIN UPDATE asn_loc SET metro = metroo`, `no column "metroo"`},
 	}
 	for _, c := range cases {
 		db := New()
@@ -579,7 +587,7 @@ func TestValidateStatementCatchesDrift(t *testing.T) {
 			db.MustExec(ddl)
 		}
 		var err error
-		if strings.HasPrefix(c.sql, "SELECT") {
+		if strings.HasPrefix(c.sql, "SELECT") || strings.HasPrefix(c.sql, "EXPLAIN") {
 			_, err = db.Query(c.sql)
 		} else {
 			_, err = db.Exec(c.sql)
