@@ -217,16 +217,12 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %v", err)
+		var buf bytes.Buffer
+		if err := g.BuildTrace.WriteJSON(&buf); err != nil {
+			return fmt.Errorf("encoding trace: %v", err)
 		}
-		if err := g.BuildTrace.WriteJSON(f); err != nil {
-			f.Close()
+		if err := os.WriteFile(*trace, buf.Bytes(), 0o666); err != nil {
 			return fmt.Errorf("writing trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
 		}
 		g.BuildTrace.Summary(os.Stderr)
 		logger.Info("trace written", obs.F("file", *trace))

@@ -84,8 +84,14 @@ func TestLayerFeatures(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("std_paths: n=%d err=%v", n, err)
 	}
+	// An unknown layer fails, and what was written is still a complete,
+	// empty FeatureCollection.
+	buf.Reset()
 	if _, err := WriteLayerGeoJSON(&buf, db, "nope"); err == nil {
 		t.Fatal("unknown layer should error")
+	}
+	if got := buf.String(); got != `{"type":"FeatureCollection","features":[]}` {
+		t.Fatalf("unknown layer wrote %q, want an empty FeatureCollection", got)
 	}
 }
 

@@ -233,10 +233,16 @@ func TestConcurrentRoutes(t *testing.T) {
 		t.Run(rt.name, func(t *testing.T) {
 			var wg sync.WaitGroup
 			errs := make(chan error, workers)
+			// Every worker waits on start, which is closed after all of
+			// them are started, so their first requests overlap: a
+			// handler write races only with a request in flight beside
+			// it.
+			start := make(chan struct{})
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					<-start
 					for i := 0; i < perWorker; i++ {
 						rec := httptest.NewRecorder()
 						h.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.target, strings.NewReader(rt.body)))
@@ -247,6 +253,7 @@ func TestConcurrentRoutes(t *testing.T) {
 					}
 				}()
 			}
+			close(start)
 			wg.Wait()
 			close(errs)
 			for err := range errs {

@@ -6,6 +6,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The run must leave the working tree as it found it: its git status
+# after the last step is compared with this one. Outside a git checkout
+# both reads are empty.
+status_before=$(git status --porcelain 2>/dev/null || true)
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt: these files need formatting:" >&2
@@ -49,5 +54,14 @@ go test -race ./...
 # One iteration of every benchmark so none can rot; -run '^$' skips the
 # tests the race run has just passed.
 go test -run '^$' -bench . -benchtime 1x ./...
+
+status_after=$(git status --porcelain 2>/dev/null || true)
+if [ "$status_after" != "$status_before" ]; then
+    echo "check.sh: the run changed the working tree; git status before:" >&2
+    echo "$status_before" >&2
+    echo "and after:" >&2
+    echo "$status_after" >&2
+    exit 1
+fi
 
 echo "check.sh: all green"
