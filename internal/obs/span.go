@@ -85,14 +85,6 @@ func (s *Span) SetAttr(key string, val interface{}) {
 	s.attrs = append(s.attrs, Field{Key: key, Val: val})
 }
 
-// Name returns the span's name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Duration returns end-start, or the running duration for an open span.
 func (s *Span) Duration() time.Duration {
 	if s == nil {
