@@ -5,15 +5,17 @@
 // internal packages neither drop errors (errdrop) nor bypass internal/obs
 // (logdiscipline), mutex-guard annotations hold on every path
 // (guardedby), locks are released on all exits and acquired in a
-// deadlock-free global order (lockorder), goroutines are tied to shutdown
-// paths (leakcheck), closers are closed on every path (closecheck), every
-// unexported function has a use that go/types records or satisfies a
-// visible interface (callgraph), and every //lint:ignore suppresses
-// something (directive).
-// Two invariants are gated at run time instead: internal/leakgate fails a
-// package whose tests leave its goroutines running, and the server's
-// replication test reads every value of each snapshot it publishes, so
-// the race detector reports a write made after the publish.
+// deadlock-free global order (lockorder), every unexported function has a
+// use that go/types records or satisfies a visible interface (callgraph),
+// and every //lint:ignore suppresses something (directive).
+// Three invariants are gated at run time instead. internal/leakgate fails
+// a package whose tests leave its goroutines running, and its own test
+// fails when a package that starts goroutines does not run it. The
+// server's tests read every value of each snapshot it publishes, so the
+// race detector reports a write made after the publish, and compare the
+// serving snapshot before and after one request to each route. The
+// replication fetcher's tests count the response bodies they receive and
+// fail on one left open.
 //
 // Usage:
 //

@@ -20,8 +20,7 @@ func TestRulesFlag(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
 	want := []string{
 		"sqlcheck", "errdrop", "logdiscipline",
-		"guardedby", "lockorder", "leakcheck", "closecheck",
-		"callgraph",
+		"guardedby", "lockorder", "callgraph",
 		"directive",
 	}
 	if len(lines) != len(want) {

@@ -62,18 +62,23 @@ func drift(db *reldb.DB) {
 	db.MustQuery("EXPLAIN SELECT nope FROM asn_loc")                           // want `sqlcheck: no column "nope"`
 }
 
-// A plain EXPLAIN of a write resolves its table, columns, arity and
-// expressions as running the write would, so each of these fails too.
+// A plain EXPLAIN of a write or of DDL resolves its names as running the
+// statement would, so each of these fails too.
 func explainDrift(db *reldb.DB) {
-	db.MustQuery("EXPLAIN DELETE FROM nope")                       // want `sqlcheck: no such table "nope"`
-	db.MustQuery("EXPLAIN UPDATE nope SET x = 1")                  // want `sqlcheck: no such table "nope"`
-	db.MustQuery("EXPLAIN INSERT INTO nope VALUES (1)")            // want `sqlcheck: no such table "nope"`
-	db.MustQuery("EXPLAIN UPDATE asn_loc SET zz = 1")              // want `sqlcheck: no column "zz" in table "asn_loc"`
-	db.MustQuery("EXPLAIN INSERT INTO asn_loc (zz) VALUES (1)")    // want `sqlcheck: no column "zz" in table "asn_loc"`
-	db.MustQuery("EXPLAIN INSERT INTO asn_name VALUES (1)")        // want `sqlcheck: INSERT expects 4 values, got 1`
-	db.MustQuery("EXPLAIN DELETE FROM asn_loc WHERE metroo = 'x'") // want `sqlcheck: no column "metroo"`
-	db.MustQuery("EXPLAIN UPDATE asn_loc SET metro = metroo")      // want `sqlcheck: no column "metroo"`
-	db.MustQuery("EXPLAIN DELETE FROM asn_loc WHERE asn = 1")      // clean
+	db.MustQuery("EXPLAIN DELETE FROM nope")                           // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN UPDATE nope SET x = 1")                      // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN INSERT INTO nope VALUES (1)")                // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN UPDATE asn_loc SET zz = 1")                  // want `sqlcheck: no column "zz" in table "asn_loc"`
+	db.MustQuery("EXPLAIN INSERT INTO asn_loc (zz) VALUES (1)")        // want `sqlcheck: no column "zz" in table "asn_loc"`
+	db.MustQuery("EXPLAIN INSERT INTO asn_name VALUES (1)")            // want `sqlcheck: INSERT expects 4 values, got 1`
+	db.MustQuery("EXPLAIN DELETE FROM asn_loc WHERE metroo = 'x'")     // want `sqlcheck: no column "metroo"`
+	db.MustQuery("EXPLAIN UPDATE asn_loc SET metro = metroo")          // want `sqlcheck: no column "metroo"`
+	db.MustQuery("EXPLAIN DROP TABLE nope")                            // want `sqlcheck: no such table "nope"`
+	db.MustQuery("EXPLAIN CREATE INDEX ON asn_loc (nope)")             // want `sqlcheck: no column "nope" in table "asn_loc"`
+	db.MustQuery("EXPLAIN CREATE TABLE t (a TEXT, a TEXT)")            // want `sqlcheck: duplicate column "a" in table "t"`
+	db.MustQuery("EXPLAIN DROP TABLE IF EXISTS nope")                  // clean
+	db.MustQuery("EXPLAIN CREATE TABLE rdns (ip TEXT, hostname TEXT)") // clean, as CREATE TABLE is
+	db.MustQuery("EXPLAIN DELETE FROM asn_loc WHERE asn = 1")          // clean
 }
 
 // Each statement runs in its own database, so a write checks only itself:
@@ -83,7 +88,5 @@ func isolated(db *reldb.DB) {
 	db.MustQuery("SELECT asn FROM asn_loc")
 }
 
-// The corpus exists to be linted, not linked into a program; these
-// references keep the callgraph analyzer's dead-code rule from
-// drowning the package's own golden findings.
+// Used here so the callgraph rule reports none of the corpus's functions.
 var _ = []any{badColumn, badTable, localTable, boundOnlyByTheEngine, drift, explainDrift, isolated}

@@ -109,7 +109,6 @@ func TestTransportDropAndStall(t *testing.T) {
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
 	t0 := time.Now()
-	//lint:ignore closecheck an erroring stalled request has no body to close
 	_, err := client.Do(req)
 	if err == nil {
 		t.Fatal("stalled request succeeded")

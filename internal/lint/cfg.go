@@ -2,7 +2,7 @@ package lint
 
 // cfg.go builds intraprocedural control-flow graphs over go/ast function
 // bodies — the foundation the path-sensitive analyzers (lockorder,
-// closecheck, guardedby) solve dataflow problems on. Pure syntax: the
+// guardedby) solve dataflow problems on. Pure syntax: the
 // builder needs no type information, handles if/for/range/switch/
 // typeswitch/select/goto/labeled break+continue/defer/fallthrough, and
 // treats panic(...) and os.Exit-style calls as terminators.

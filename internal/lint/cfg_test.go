@@ -269,7 +269,7 @@ func TestCFGPanicBlockMarked(t *testing.T) {
 }
 
 // TestCFGCondConvention pins the Succs[0]=true / Succs[1]=false convention
-// that edge-sensitive analyzers (closecheck, lockorder TryLock) rely on.
+// that edge-sensitive analyzers (guardedby and lockorder TryLock) rely on.
 func TestCFGCondConvention(t *testing.T) {
 	body, _ := parseBody(t, "x := 1\nif x > 0 {\nx = 2\n} else {\nx = 3\n}")
 	cfg := BuildCFG(body)

@@ -3,7 +3,7 @@
 // golang.org/x/tools. It loads packages via `go list -export` (see load.go)
 // and runs a fixed set of analyzers that encode repository-wide invariants
 // the Go compiler cannot check: SQL/schema consistency, error-handling and
-// logging discipline, lock and goroutine discipline, and dead code. The
+// logging discipline, lock discipline, and dead code. The
 // cmd/igdblint binary is a thin CLI over this package.
 package lint
 
@@ -99,8 +99,6 @@ func NewLinter() *Linter {
 		newLogDiscipline(),
 		newGuardedBy(),
 		newLockOrder(),
-		newLeakCheck(),
-		newCloseCheck(),
 		newCallGraphCheck(),
 		// directive must stay last: its Finish sees which suppressions the
 		// other analyzers' findings actually used.

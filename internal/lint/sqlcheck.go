@@ -152,14 +152,19 @@ func newSQLCheck() *Analyzer {
 }
 
 // runAlone runs sql, parsed as st, in a new empty database, so a write
-// checks only itself. Every statement but a CREATE TABLE runs after the
-// DDL in schema. A CREATE TABLE runs in a database with no tables: the
-// harvest includes SchemaDDL's own CREATE TABLEs, and a table created
-// twice is no finding. An EXPLAIN of a SELECT runs as EXPLAIN ANALYZE,
-// since plain EXPLAIN shows a plan even for a SELECT that does not bind.
+// checks only itself. Every statement but a CREATE TABLE, plain or under
+// EXPLAIN, runs after the DDL in schema. A CREATE TABLE runs in a
+// database with no tables: the harvest includes SchemaDDL's own CREATE
+// TABLEs, and a table created twice is no finding. An EXPLAIN of a SELECT
+// runs as EXPLAIN ANALYZE, since plain EXPLAIN shows a plan even for a
+// SELECT that does not bind.
 func runAlone(sql string, st reldb.Statement, schema []string) error {
 	db := reldb.New()
-	if _, create := st.(*reldb.CreateTableStmt); !create {
+	inner := st
+	if ex, ok := st.(*reldb.ExplainStmt); ok {
+		inner = ex.Stmt
+	}
+	if _, create := inner.(*reldb.CreateTableStmt); !create {
 		for _, ddl := range schema {
 			if _, err := db.Exec(ddl); err != nil {
 				return err

@@ -267,28 +267,20 @@ func (db *DB) BulkInsert(table string, rows [][]Value) error {
 func (db *DB) createTable(s *CreateTableStmt) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	key := strings.ToLower(s.Name)
-	if _, exists := db.tables[key]; exists {
-		return fmt.Errorf("reldb: table %q already exists", s.Name)
-	}
-	t, err := newTable(s.Name, s.Cols)
+	t, _, err := db.bindDDL(s)
 	if err != nil {
 		return err
 	}
-	db.tables[key] = t
+	db.tables[strings.ToLower(s.Name)] = t
 	return nil
 }
 
 func (db *DB) createIndex(s *CreateIndexStmt) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return fmt.Errorf("reldb: no such table %q", s.Table)
-	}
-	col := t.ColumnIndex(s.Column)
-	if col < 0 {
-		return fmt.Errorf("reldb: no column %q in table %q", s.Column, s.Table)
+	t, col, err := db.bindDDL(s)
+	if err != nil {
+		return err
 	}
 	t.addIndex(col)
 	return nil
@@ -297,15 +289,46 @@ func (db *DB) createIndex(s *CreateIndexStmt) error {
 func (db *DB) dropTable(s *DropTableStmt) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	key := strings.ToLower(s.Name)
-	if _, ok := db.tables[key]; !ok {
-		if s.IfExists {
-			return nil
-		}
-		return fmt.Errorf("reldb: no such table %q", s.Name)
+	t, _, err := db.bindDDL(s)
+	if t != nil {
+		delete(db.tables, strings.ToLower(s.Name))
 	}
-	delete(db.tables, key)
-	return nil
+	return err
+}
+
+// bindDDL resolves st, a CREATE TABLE, CREATE INDEX or DROP TABLE, against
+// the catalog. It returns the new table for CREATE TABLE, the indexed table
+// and column for CREATE INDEX, and the table to drop for DROP TABLE (nil
+// under IF EXISTS when there is none). The executors and EXPLAIN share it,
+// as they share bindDML. The caller holds db.mu.
+func (db *DB) bindDDL(st Statement) (*Table, int, error) {
+	//lint:ignore guardedby callers hold db.mu
+	tables := db.tables
+	switch s := st.(type) {
+	case *CreateTableStmt:
+		if _, exists := tables[strings.ToLower(s.Name)]; exists {
+			return nil, 0, fmt.Errorf("reldb: table %q already exists", s.Name)
+		}
+		t, err := newTable(s.Name, s.Cols)
+		return t, 0, err
+	case *CreateIndexStmt:
+		t, ok := tables[strings.ToLower(s.Table)]
+		if !ok {
+			return nil, 0, fmt.Errorf("reldb: no such table %q", s.Table)
+		}
+		col := t.ColumnIndex(s.Column)
+		if col < 0 {
+			return nil, 0, fmt.Errorf("reldb: no column %q in table %q", s.Column, s.Table)
+		}
+		return t, col, nil
+	case *DropTableStmt:
+		t, ok := tables[strings.ToLower(s.Name)]
+		if !ok && !s.IfExists {
+			return nil, 0, fmt.Errorf("reldb: no such table %q", s.Name)
+		}
+		return t, 0, nil
+	}
+	return nil, 0, fmt.Errorf("reldb: %s is not DDL", StatementKind(st))
 }
 
 // boundDML is an INSERT, UPDATE or DELETE resolved against its table:

@@ -381,11 +381,15 @@ func (db *DB) explainLocked(ctx context.Context, ex *ExplainStmt) (*PlanNode, er
 		if ex.Analyze {
 			return nil, fmt.Errorf("reldb: EXPLAIN ANALYZE supports only SELECT (got %s)", StatementKind(ex.Stmt))
 		}
+		var err error
 		switch ex.Stmt.(type) {
 		case *InsertStmt, *UpdateStmt, *DeleteStmt:
-			if _, err := db.bindDML(ex.Stmt); err != nil {
-				return nil, err
-			}
+			_, err = db.bindDML(ex.Stmt)
+		case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
+			_, _, err = db.bindDDL(ex.Stmt)
+		}
+		if err != nil {
+			return nil, err
 		}
 		return staticPlan(ex.Stmt), nil
 	}

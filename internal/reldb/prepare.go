@@ -108,10 +108,11 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	return s.db.execSelect(ctx, s.sel)
 }
 
-// Close releases the prepared plan. Further Query calls return
-// ErrStmtClosed; Close is idempotent and safe for concurrent use. Plans
-// hold parsed AST memory, so long-lived servers that prepare per-request
-// (rather than through a plan cache) must close what they prepare.
+// Close marks the statement closed: further Query calls return
+// ErrStmtClosed. It frees nothing, since a statement holds only its parse
+// tree, which the garbage collector reclaims once the statement is
+// unreferenced, so dropping a statement without Close leaks nothing. Close
+// is idempotent and safe for concurrent use.
 func (s *Stmt) Close() error {
 	s.closed.Store(true)
 	return nil

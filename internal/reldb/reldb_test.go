@@ -580,6 +580,9 @@ func TestValidateStatementCatchesDrift(t *testing.T) {
 		{`EXPLAIN INSERT INTO asn_name VALUES (1)`, `INSERT expects 3 values, got 1`},
 		{`EXPLAIN DELETE FROM asn_loc WHERE metroo = 'x'`, `no column "metroo"`},
 		{`EXPLAIN UPDATE asn_loc SET metro = metroo`, `no column "metroo"`},
+		{`EXPLAIN DROP TABLE nope`, `no such table "nope"`},
+		{`EXPLAIN CREATE INDEX ON asn_loc (nope)`, `no column "nope" in table "asn_loc"`},
+		{`EXPLAIN CREATE TABLE t (a TEXT, a TEXT)`, `duplicate column "a" in table "t"`},
 	}
 	for _, c := range cases {
 		db := New()

@@ -121,79 +121,50 @@ func LayerFeatures(db *reldb.DB, layer string, yield func(wkt.Geometry, map[stri
 	return nil
 }
 
-// FeatureWriter streams a GeoJSON FeatureCollection to an io.Writer one
-// feature at a time, so an HTTP handler never buffers the whole document.
-// Call Close to emit the footer; Add after Close is an error.
-type FeatureWriter struct {
-	w      io.Writer
-	n      int
-	closed bool
-}
-
-// NewFeatureWriter writes the FeatureCollection header and returns a writer
-// ready for Add calls.
-func NewFeatureWriter(w io.Writer) (*FeatureWriter, error) {
+// WriteFeatures streams a GeoJSON FeatureCollection to w one feature at a
+// time, so an HTTP handler never buffers the whole document. It writes the
+// header, lets each add features (properties may be nil), and writes the
+// footer even when each fails, so partial output is still well-formed
+// GeoJSON; the feature error is the one worth reporting, and a footer
+// error is joined to it. It returns the number of features written.
+func WriteFeatures(w io.Writer, each func(add func(wkt.Geometry, map[string]any) error) error) (int, error) {
 	if _, err := io.WriteString(w, `{"type":"FeatureCollection","features":[`); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &FeatureWriter{w: w}, nil
-}
-
-// Add streams one feature; properties may be nil.
-func (fw *FeatureWriter) Add(g wkt.Geometry, props map[string]interface{}) error {
-	if fw.closed {
-		return fmt.Errorf("render: FeatureWriter is closed")
-	}
-	gj, err := geometryJSON(g)
-	if err != nil {
-		return err
-	}
-	if props == nil {
-		props = map[string]interface{}{}
-	}
-	body, err := json.Marshal(feature{Type: "Feature", Geometry: gj, Properties: props})
-	if err != nil {
-		return err
-	}
-	if fw.n > 0 {
-		if _, err := io.WriteString(fw.w, ","); err != nil {
+	n := 0
+	err := each(func(g wkt.Geometry, props map[string]any) error {
+		gj, err := geometryJSON(g)
+		if err != nil {
 			return err
 		}
-	}
-	if _, err := fw.w.Write(body); err != nil {
-		return err
-	}
-	fw.n++
-	return nil
-}
-
-// Len returns the number of features streamed so far.
-func (fw *FeatureWriter) Len() int { return fw.n }
-
-// Close writes the FeatureCollection footer.
-func (fw *FeatureWriter) Close() error {
-	if fw.closed {
+		if props == nil {
+			props = map[string]any{}
+		}
+		body, err := json.Marshal(feature{Type: "Feature", Geometry: gj, Properties: props})
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			if _, err := io.WriteString(w, ","); err != nil {
+				return err
+			}
+		}
+		if _, err := w.Write(body); err != nil {
+			return err
+		}
+		n++
 		return nil
+	})
+	if _, ferr := io.WriteString(w, `]}`); ferr != nil {
+		err = errors.Join(err, ferr)
 	}
-	fw.closed = true
-	_, err := io.WriteString(fw.w, `]}`)
-	return err
+	return n, err
 }
 
 // WriteLayerGeoJSON streams one layer as a GeoJSON FeatureCollection,
 // returning the feature count.
 func WriteLayerGeoJSON(w io.Writer, db *reldb.DB, layer string) (int, error) {
-	fw, err := NewFeatureWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	if err := LayerFeatures(db, layer, fw.Add); err != nil {
-		// Terminate the stream so partial output is still well-formed
-		// GeoJSON; the feature error is the one worth reporting.
-		if cerr := fw.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return fw.Len(), err
-	}
-	return fw.Len(), fw.Close()
+	return WriteFeatures(w, func(add func(wkt.Geometry, map[string]any) error) error {
+		return LayerFeatures(db, layer, add)
+	})
 }

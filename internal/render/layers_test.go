@@ -12,21 +12,17 @@ import (
 
 func TestFeatureWriterFraming(t *testing.T) {
 	var buf bytes.Buffer
-	fw, err := NewFeatureWriter(&buf)
+	n, err := WriteFeatures(&buf, func(add func(wkt.Geometry, map[string]any) error) error {
+		if err := add(wkt.NewPoint(geo.Point{Lon: 1, Lat: 2}), map[string]any{"name": "a"}); err != nil {
+			return err
+		}
+		return add(wkt.NewPoint(geo.Point{Lon: 3, Lat: 4}), nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Add(wkt.NewPoint(geo.Point{Lon: 1, Lat: 2}), map[string]interface{}{"name": "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Add(wkt.NewPoint(geo.Point{Lon: 3, Lat: 4}), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fw.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", fw.Len())
+	if n != 2 {
+		t.Fatalf("n = %d, want 2", n)
 	}
 	var doc struct {
 		Type     string `json:"type"`
@@ -44,18 +40,11 @@ func TestFeatureWriterFraming(t *testing.T) {
 	if doc.Features[0].Properties["name"] != "a" {
 		t.Fatalf("properties lost: %v", doc.Features[0].Properties)
 	}
-	if err := fw.Add(wkt.NewPoint(geo.Point{}), nil); err == nil {
-		t.Fatal("Add after Close should fail")
-	}
 }
 
 func TestFeatureWriterEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	fw, err := NewFeatureWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
+	if _, err := WriteFeatures(&buf, func(func(wkt.Geometry, map[string]any) error) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != `{"type":"FeatureCollection","features":[]}` {

@@ -243,7 +243,7 @@ func (m *Map) SVG() []byte {
 
 // ---- GeoJSON ----
 
-// feature is one GeoJSON Feature as FeatureWriter encodes it.
+// feature is one GeoJSON Feature as WriteFeatures encodes it.
 type feature struct {
 	Type       string                 `json:"type"`
 	Geometry   json.RawMessage        `json:"geometry"`

@@ -74,23 +74,22 @@ func TestGeometryDispatch(t *testing.T) {
 
 func TestGeoJSON(t *testing.T) {
 	var buf bytes.Buffer
-	fw, err := NewFeatureWriter(&buf)
+	_, err := WriteFeatures(&buf, func(add func(wkt.Geometry, map[string]any) error) error {
+		if err := add(wkt.MustParse("POINT (1 2)"), map[string]any{"name": "x"}); err != nil {
+			return err
+		}
+		for _, s := range []string{
+			"LINESTRING (0 0, 1 1)",
+			"POLYGON ((0 0, 1 0, 1 1, 0 0))",
+			"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))",
+		} {
+			if err := add(wkt.MustParse(s), nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Add(wkt.MustParse("POINT (1 2)"), map[string]interface{}{"name": "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Add(wkt.MustParse("LINESTRING (0 0, 1 1)"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Add(wkt.MustParse("POLYGON ((0 0, 1 0, 1 1, 0 0))"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Add(wkt.MustParse("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -118,12 +117,11 @@ func TestGeoJSON(t *testing.T) {
 }
 
 func TestGeoJSONRejectsEmptyGeometry(t *testing.T) {
-	fw, err := NewFeatureWriter(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := wkt.Geometry{Kind: wkt.Kind(99)}
-	if err := fw.Add(g, nil); err == nil {
+	_, err := WriteFeatures(io.Discard, func(add func(wkt.Geometry, map[string]any) error) error {
+		return add(g, nil)
+	})
+	if err == nil {
 		t.Error("unsupported kind should fail")
 	}
 }

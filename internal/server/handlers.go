@@ -423,19 +423,11 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		"snapshot_seq": snap.seq,
 	}
 	w.Header().Set("Content-Type", "application/geo+json")
-	fw, err := render.NewFeatureWriter(w)
+	_, err := render.WriteFeatures(w, func(add func(wkt.Geometry, map[string]any) error) error {
+		return add(wkt.NewLineString(line), props)
+	})
 	if err != nil {
-		return
-	}
-	if err := fw.Add(wkt.NewLineString(line), props); err != nil {
 		s.logger.Error("path export failed", obs.F("request_id", RequestID(r)), obs.F("err", err))
-		if cerr := fw.Close(); cerr != nil {
-			s.logger.Debug("path export close failed", obs.F("request_id", RequestID(r)), obs.F("err", cerr))
-		}
-		return
-	}
-	if err := fw.Close(); err != nil {
-		s.logger.Debug("path export close failed", obs.F("request_id", RequestID(r)), obs.F("err", err))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,40 +195,7 @@ func TestConcurrentSQL(t *testing.T) {
 func TestConcurrentRoutes(t *testing.T) {
 	s := newTestServer(t, Config{Leader: true, SlowQueryMin: -1})
 	h := s.Handler()
-	_, fp := postSQL(t, h, `SELECT asn, COUNT(DISTINCT country) FROM asn_loc GROUP BY asn ORDER BY 2 DESC LIMIT 1`)
-	_, sp := postSQL(t, h, `SELECT from_metro, from_country, to_metro, to_country FROM std_paths LIMIT 1`)
-	if len(fp.Rows) == 0 || len(sp.Rows) == 0 {
-		t.Fatal("test world has no located AS or no standard path")
-	}
-	pathQ := url.Values{
-		"src": {fmt.Sprintf("%s-%s", sp.Rows[0][0], sp.Rows[0][1])},
-		"dst": {fmt.Sprintf("%s-%s", sp.Rows[0][2], sp.Rows[0][3])},
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/replica/manifest", nil))
-	var m struct {
-		Chunks []struct {
-			SHA256 string `json:"sha256"`
-		} `json:"chunks"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || len(m.Chunks) == 0 {
-		t.Fatalf("bad manifest: %v", err)
-	}
-
-	routes := []struct{ name, method, target, body string }{
-		{"sql", "POST", "/sql", table2SQL},
-		{"explain_analyze", "POST", "/sql", "EXPLAIN ANALYZE " + table2SQL},
-		{"tables", "GET", "/tables", ""},
-		{"export", "GET", "/export/city_points", ""},
-		{"footprint", "GET", fmt.Sprintf("/footprint/%d", int(fp.Rows[0][0].(float64))), ""},
-		{"path", "GET", "/path?" + pathQ.Encode(), ""},
-		{"healthz", "GET", "/healthz", ""},
-		{"metrics", "GET", "/metrics", ""},
-		{"debug_queries", "GET", "/debug/queries", ""},
-		{"debug_statements", "GET", "/debug/statements", ""},
-		{"replica_manifest", "GET", "/replica/manifest", ""},
-		{"replica_chunk", "GET", "/replica/chunk/" + m.Chunks[0].SHA256, ""},
-	}
+	routes := everyRoute(t, h)
 	const workers, perWorker = 8, 4
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
@@ -260,6 +228,81 @@ func TestConcurrentRoutes(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestRequestsLeaveSnapshotUnchanged records every value reachable from the
+// serving snapshot, sends one request to each route in turn, records again
+// and fails on any difference. The race detector sees a handler's write to
+// the snapshot only when two requests overlap; this test needs none. The
+// caches are not followed, since requests write them under their own
+// locks, and the state built once on first use (the replication artifact
+// and the pipeline's trace analyses) is built before the first record.
+func TestRequestsLeaveSnapshotUnchanged(t *testing.T) {
+	s := newTestServer(t, Config{Leader: true, SlowQueryMin: -1})
+	h := s.Handler()
+	routes := everyRoute(t, h)
+	snap := s.current()
+	if _, err := snap.artifact(s); err != nil {
+		t.Fatal(err)
+	}
+	snap.pipe.Analyses()
+	caches := []reflect.Type{reflect.TypeOf(snap.plans), reflect.TypeOf(snap.results)}
+	before := recordValues(reflect.ValueOf(snap), caches...)
+	for _, rt := range routes {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.target, strings.NewReader(rt.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %.200s", rt.method, rt.target, rec.Code, rec.Body.String())
+		}
+	}
+	if s.current() != snap {
+		t.Fatal("the serving snapshot was replaced")
+	}
+	for _, d := range recordValues(reflect.ValueOf(snap), caches...).changedSince(before) {
+		t.Errorf("a request wrote the serving snapshot: %s", d)
+	}
+}
+
+// route is one request a test sends to each handler in turn.
+type route struct{ name, method, target, body string }
+
+// everyRoute returns one well-formed request for every route the server
+// serves, with the path, footprint and chunk parameters looked up on h.
+func everyRoute(t *testing.T, h http.Handler) []route {
+	t.Helper()
+	_, fp := postSQL(t, h, `SELECT asn, COUNT(DISTINCT country) FROM asn_loc GROUP BY asn ORDER BY 2 DESC LIMIT 1`)
+	_, sp := postSQL(t, h, `SELECT from_metro, from_country, to_metro, to_country FROM std_paths LIMIT 1`)
+	if len(fp.Rows) == 0 || len(sp.Rows) == 0 {
+		t.Fatal("test world has no located AS or no standard path")
+	}
+	pathQ := url.Values{
+		"src": {fmt.Sprintf("%s-%s", sp.Rows[0][0], sp.Rows[0][1])},
+		"dst": {fmt.Sprintf("%s-%s", sp.Rows[0][2], sp.Rows[0][3])},
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/replica/manifest", nil))
+	var m struct {
+		Chunks []struct {
+			SHA256 string `json:"sha256"`
+		} `json:"chunks"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || len(m.Chunks) == 0 {
+		t.Fatalf("bad manifest: %v", err)
+	}
+	return []route{
+		{"sql", "POST", "/sql", table2SQL},
+		{"explain_analyze", "POST", "/sql", "EXPLAIN ANALYZE " + table2SQL},
+		{"tables", "GET", "/tables", ""},
+		{"export", "GET", "/export/city_points", ""},
+		{"footprint", "GET", fmt.Sprintf("/footprint/%d", int(fp.Rows[0][0].(float64))), ""},
+		{"path", "GET", "/path?" + pathQ.Encode(), ""},
+		{"healthz", "GET", "/healthz", ""},
+		{"metrics", "GET", "/metrics", ""},
+		{"debug_queries", "GET", "/debug/queries", ""},
+		{"debug_statements", "GET", "/debug/statements", ""},
+		{"replica_manifest", "GET", "/replica/manifest", ""},
+		{"replica_chunk", "GET", "/replica/chunk/" + m.Chunks[0].SHA256, ""},
 	}
 }
 

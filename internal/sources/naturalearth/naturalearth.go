@@ -25,9 +25,9 @@ type Place struct {
 	Population int // thousands
 }
 
-// Road is one right-of-way segment with its geometry.
+// Road is one right-of-way segment with its geometry. The CSV's kind
+// column ("road" or "rail") is parsed past: nothing reads it.
 type Road struct {
-	Kind     string // "road" or "rail"
 	Path     []geo.Point
 	LengthKm float64
 }
@@ -110,7 +110,7 @@ func Parse(d *Dataset) ([]Place, []Road, error) {
 		if err != nil || g.Kind != wkt.KindLineString {
 			return nil, nil, fmt.Errorf("naturalearth: roads row %d bad geometry", i)
 		}
-		roads = append(roads, Road{Kind: row[0], Path: g.Line, LengthKm: km})
+		roads = append(roads, Road{Path: g.Line, LengthKm: km})
 	}
 	return places, roads, nil
 }

@@ -27,22 +27,25 @@ go build ./...
 # Project-aware static analysis (igdblint -rules lists the analyzers):
 # every SQL literal runs in reldb against the canonical schema, error and
 # logging discipline, path-sensitive mutex-guard checking, lock ordering,
-# goroutine leaks, unclosed closers, unused unexported functions (go/types'
-# use records), and dead suppressions. Any finding fails the gate.
-# Allocation discipline and metric hygiene are gated at runtime instead,
-# by the AllocsPerRun budgets and TestMetricsExposition in the test run
-# below.
+# unused unexported functions (go/types' use records), and dead
+# suppressions. Any finding fails the gate. Allocation discipline and
+# metric hygiene are gated at runtime instead, by the AllocsPerRun budgets
+# and TestMetricsExposition in the test run below.
 go run ./cmd/igdblint ./...
 
 # Every test, fuzz seed corpus, chaos and replication suite, and the
 # leader/follower process test, under the race detector. This step also
-# gates two invariants at run time. Goroutine lifetimes: the TestMain of
+# gates three invariants at run time. Goroutine lifetimes: the TestMain of
 # graph, server, simulate, replicate and ingest calls internal/leakgate,
 # which fails the package when its tests leave goroutines running its
-# code. Snapshot immutability: the server's replication test reads every
-# value of each snapshot that Rebuild and the follower's sync publish
-# while the publisher still runs, so a write after the publish is a
-# DATA RACE.
+# code, and leakgate's own test fails when a package that starts
+# goroutines does not call it. Snapshot immutability: the server's
+# replication test reads every value of each snapshot that Rebuild and
+# the follower's sync publish while the publisher still runs, so a write
+# after the publish is a DATA RACE, and another test records every value
+# of the serving snapshot before and after one request to each route.
+# Closed response bodies: the replication fetcher's tests count the
+# bodies they receive and fail on one left open.
 go test -race ./...
 
 # perfbench's own tests build it against this tree and run every workload
