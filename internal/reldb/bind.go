@@ -199,8 +199,8 @@ const (
 	aggMax
 )
 
-// aggSlot is one aggregate of a grouped SELECT. It is computed at most
-// once per group, when something first reads it.
+// aggSlot is one aggregate of a grouped SELECT. Each group accumulates it
+// as the group's rows arrive (see acc).
 type aggSlot struct {
 	fn       aggFn
 	name     string // as written, for errors
