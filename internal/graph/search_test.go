@@ -2,11 +2,16 @@ package graph
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // refHeap runs container/heap over the same items: the reference minHeap
@@ -207,4 +212,31 @@ func TestParallelReraisesPanic(t *testing.T) {
 		}
 	})
 	t.Fatal("Parallel returned normally")
+}
+
+// TestParallelReraisesConcurrentPanics: four workers that panic at once
+// all return, and Parallel re-raises one of their panics. The panic slot
+// holds one value, so a worker that finds it full must drop its own
+// rather than block.
+func TestParallelReraisesConcurrentPanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var started sync.WaitGroup
+	started.Add(4)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		Parallel(4, func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
+			started.Done()
+			started.Wait() // every worker holds an index
+			panic(fmt.Sprint("boom ", i))
+		})
+	}()
+	select {
+	case r := <-done:
+		if s, _ := r.(string); !strings.HasPrefix(s, "boom ") {
+			t.Fatalf("recovered %v, want a worker's panic", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Parallel did not return after all four workers panicked")
+	}
 }
