@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"io"
@@ -145,5 +146,56 @@ func TestTransportURLScoping(t *testing.T) {
 	}
 	if _, err := fetch(t, client, srv.URL+"/replica/chunk/abc"); err == nil {
 		t.Fatal("scoped fault did not fire")
+	}
+}
+
+// closeCounter is a fake inner transport whose response bodies count
+// their Close calls.
+type closeCounter struct {
+	payload []byte
+	bodies  []*countedBody
+}
+
+// countedBody counts its Close calls.
+type countedBody struct {
+	io.Reader
+	closes int
+}
+
+func (b *countedBody) Close() error {
+	b.closes++
+	return nil
+}
+
+func (c *closeCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	b := &countedBody{Reader: bytes.NewReader(c.payload)}
+	c.bodies = append(c.bodies, b)
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: b, Request: req}, nil
+}
+
+// TestTransportFaultsCloseInnerBody: a fault that rewrites the body reads
+// the inner response and hands back a body of its own, so it must close
+// the inner one; an inner body left open pins its connection.
+func TestTransportFaultsCloseInnerBody(t *testing.T) {
+	for _, f := range []Fault{TruncateBody(""), FlipBody("", 4)} {
+		inner := &closeCounter{payload: []byte(strings.Repeat("the quick brown fox\n", 32))}
+		tr := NewTransport(inner, 7)
+		tr.Inject(f)
+		req, err := http.NewRequest("GET", "http://peer.test/snapshot", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range inner.bodies {
+			if b.closes != 1 {
+				t.Errorf("%s: inner body closed %d times, want once", f.Kind, b.closes)
+			}
+		}
 	}
 }

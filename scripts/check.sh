@@ -45,7 +45,8 @@ go run ./cmd/igdblint ./...
 # after the publish is a DATA RACE, and another test records every value
 # of the serving snapshot before and after one request to each route.
 # Closed response bodies: the replication fetcher's tests count the
-# bodies they receive and fail on one left open.
+# bodies they receive, and the chaos transport's tests count the inner
+# bodies its faults read; each fails on a body left open.
 go test -race ./...
 
 # perfbench's own tests build it against this tree and run every workload
