@@ -106,13 +106,10 @@ type BuildOptions struct {
 	// otherwise the newest snapshot in the store — by more than this.
 	// Zero disables staleness checks.
 	StaleAfter time.Duration
-	// Trace, when set, is the parent span under which Build records its
-	// stage spans (Build starts and ends a "build" child). When nil Build
-	// starts its own root trace, so the build_trace relation is always
-	// populated unless SkipTrace is set.
-	Trace *obs.Span
 	// SkipTrace disables span recording entirely: no BuildTrace, an empty
 	// build_trace relation. The untraced baseline for overhead benchmarks.
+	// Otherwise Build records its stage spans under a root span of its own,
+	// "build".
 	SkipTrace bool
 	// Logger receives structured build diagnostics (quarantine events).
 	// Nil is silent.
@@ -244,11 +241,7 @@ var loaders = []loaderSpec{
 func Build(store ingest.Reader, opts BuildOptions) (*IGDB, error) {
 	var root *obs.Span
 	if !opts.SkipTrace {
-		if opts.Trace != nil {
-			root = opts.Trace.Start("build")
-		} else {
-			root = obs.StartTrace("build")
-		}
+		root = obs.StartTrace("build")
 	}
 	g := &IGDB{
 		Rel:        reldb.New(),

@@ -279,9 +279,6 @@ type CollectOptions struct {
 	// Logger receives structured retry/give-up records. When nil
 	// collection is silent.
 	Logger *obs.Logger
-	// Trace, when set, records one span per source with attempt/byte
-	// attributes under it.
-	Trace *obs.Span
 }
 
 func (o *CollectOptions) fillDefaults() {
@@ -419,7 +416,6 @@ func CollectWith(ctx context.Context, w *worldgen.World, store *Store, asOf time
 			return report, firstErr
 		}
 		res := SourceResult{Source: f.source}
-		sp := opts.Trace.Start("collect/" + f.source)
 		var files map[string][]byte
 		for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
 			res.Attempts = attempt
@@ -463,16 +459,6 @@ func CollectWith(ctx context.Context, w *worldgen.World, store *Store, asOf time
 				res.Err = fmt.Errorf("save: %w", err)
 			}
 		}
-		bytes := 0
-		for _, data := range files {
-			bytes += len(data)
-		}
-		sp.SetAttr("attempts", res.Attempts)
-		sp.SetAttr("bytes", bytes)
-		if res.Err != nil {
-			sp.SetAttr("err", res.Err.Error())
-		}
-		sp.End()
 		report.Results = append(report.Results, res)
 		if res.Err != nil {
 			wrapped := fmt.Errorf("ingest: %s: %w", f.source, res.Err)

@@ -108,10 +108,6 @@ type Options struct {
 	// Kinds restricts generation to a subset of AllKinds (default: every
 	// kind the database has candidates for).
 	Kinds []string
-	// Trace, when set, is the parent span under which the engine records
-	// its stages; nil starts a fresh root so the span tree stored into
-	// build_trace is always populated.
-	Trace *obs.Span
 	// Logger receives structured diagnostics. Nil is silent.
 	Logger *obs.Logger
 }
