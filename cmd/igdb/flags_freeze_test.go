@@ -27,7 +27,6 @@ var frozenFlags = []string{
 	"retries", "scale", "scenarios", "seed", "seed",
 	"simulate-scenarios", "simulate-seed", "slow-query", "stale-after",
 	"stale-after", "stmt-stats", "timeout", "top", "trace",
-	"workers",
 }
 
 // flagMethods maps flag.FlagSet registration methods to the index of their

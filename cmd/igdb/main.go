@@ -13,7 +13,7 @@
 //	igdb tables  -dir DIR
 //	igdb export  -dir DIR -layer LAYER [-format geojson|svg] [-o FILE]
 //	igdb analyze -dir DIR [-as-of YYYY-MM-DD]
-//	igdb simulate -dir DIR [-scenarios N] [-seed S] [-workers W] [-pairs P] [-top K]
+//	igdb simulate -dir DIR [-scenarios N] [-seed S] [-pairs P] [-top K]
 //	igdb serve   -dir DIR [-addr :8080] [-rebuild-every DUR] [-degraded] [-leader]
 //	igdb serve   -follow URL [-addr :8081] [-replica-poll DUR]
 //

@@ -19,7 +19,6 @@ func cmdSimulate(args []string) error {
 	bf := addBuildFlags(fs)
 	scenarios := fs.Int("scenarios", 200, "number of failure scenarios to generate and evaluate")
 	seed := fs.Int64("seed", 1, "scenario generator seed (same store and seed: identical stored rows)")
-	workers := fs.Int("workers", 0, "evaluation worker goroutines (0 = one per CPU)")
 	pairs := fs.Int("pairs", 256, "baseline metro pairs sampled for reachability measurement")
 	top := fs.Int("top", 10, "entries kept per impact ranking (AS, country, metro)")
 	_ = fs.Parse(args)
@@ -37,7 +36,7 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	batch := eng.Generate(*scenarios)
-	results := eng.Run(batch, *workers)
+	results := eng.Run(batch)
 	rows, err := eng.Store(results)
 	if err != nil {
 		return err

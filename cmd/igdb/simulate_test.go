@@ -18,10 +18,11 @@ func TestSimulateEndToEnd(t *testing.T) {
 		t.Fatalf("collect exited %d: %s%s", code, stdout, stderr)
 	}
 
-	run := func(seed, workers string) string {
+	run := func(seed, procs string) string {
 		t.Helper()
+		t.Setenv("GOMAXPROCS", procs)
 		stdout, stderr, code := runCLI(t, "simulate", "-dir", dir,
-			"-scenarios", "40", "-seed", seed, "-workers", workers, "-pairs", "64")
+			"-scenarios", "40", "-seed", seed, "-pairs", "64")
 		if code != 0 {
 			t.Fatalf("simulate exited %d: %s%s", code, stdout, stderr)
 		}
@@ -37,7 +38,7 @@ func TestSimulateEndToEnd(t *testing.T) {
 	first := run("7", "1")
 	again := run("7", "4")
 	if first != again {
-		t.Fatalf("same seed produced different reports across worker counts:\n--- first\n%s--- again\n%s", first, again)
+		t.Fatalf("same seed produced different reports at GOMAXPROCS 1 and 4:\n--- first\n%s--- again\n%s", first, again)
 	}
 	other := run("8", "1")
 	if first == other {

@@ -354,7 +354,7 @@ func (s *Server) simulateSnapshot(g *core.IGDB) (int, time.Duration) {
 		Logger: s.logger,
 	})
 	if err == nil {
-		results := eng.Run(eng.Generate(s.cfg.SimulateScenarios), 0)
+		results := eng.Run(eng.Generate(s.cfg.SimulateScenarios))
 		if _, serr := eng.Store(results); serr != nil {
 			err = serr
 		} else {

@@ -3,6 +3,7 @@ package simulate
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -79,10 +80,12 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestRunWorkerCountInvariance(t *testing.T) {
 	e := newEngine(t, db(t), Options{Seed: 3, Pairs: 64})
 	sc := e.Generate(30)
-	serial := e.Run(sc, 1)
-	parallel := e.Run(sc, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := e.Run(sc)
+	runtime.GOMAXPROCS(4)
+	parallel := e.Run(sc)
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("results differ between 1 and 4 workers")
+		t.Fatal("results differ between GOMAXPROCS 1 and 4")
 	}
 }
 
@@ -90,7 +93,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 // exactly its baseline distance, the component structure is unchanged.
 func TestEvalIdentityScenario(t *testing.T) {
 	e := newEngine(t, db(t), Options{Seed: 1, Pairs: 64})
-	res := e.Run([]Scenario{{ID: 1, Kind: "noop", Target: "nothing"}}, 1)[0]
+	res := e.Run([]Scenario{{ID: 1, Kind: "noop", Target: "nothing"}})[0]
 	if res.PairsLost != 0 || res.ReachabilityLoss != 0 {
 		t.Fatalf("identity scenario lost %d pairs", res.PairsLost)
 	}
@@ -118,7 +121,7 @@ func TestEvalMetroDown(t *testing.T) {
 		t.Fatal("no sampled pairs")
 	}
 	sc := Scenario{ID: 1, Kind: KindMetroDown, Target: e.metroOf[best], Nodes: []int{best}}
-	res := e.Run([]Scenario{sc}, 1)[0]
+	res := e.Run([]Scenario{sc})[0]
 	if res.FailedNodes != 1 {
 		t.Fatalf("FailedNodes = %d, want 1", res.FailedNodes)
 	}
@@ -146,7 +149,7 @@ func TestEvalCableCut(t *testing.T) {
 	}
 	name := e.cables[0]
 	sc := Scenario{ID: 1, Kind: KindCableCut, Target: name, Edges: e.cableEdges[name]}
-	res := e.Run([]Scenario{sc}, 1)[0]
+	res := e.Run([]Scenario{sc})[0]
 	if res.FailedEdges != len(e.cableEdges[name]) {
 		t.Fatalf("FailedEdges = %d, want %d", res.FailedEdges, len(e.cableEdges[name]))
 	}
@@ -164,7 +167,7 @@ func TestEvalHazardResolves(t *testing.T) {
 		ID: 1, Kind: KindHazard, Target: "test-hazard",
 		Hazard: &risk.Hazard{Name: "test", Center: center, RadiusKm: 300},
 	}
-	res := e.Run([]Scenario{sc}, 1)[0]
+	res := e.Run([]Scenario{sc})[0]
 	if res.FailedNodes < 1 {
 		t.Fatal("hazard centered on a metro failed no nodes")
 	}
@@ -173,7 +176,7 @@ func TestEvalHazardResolves(t *testing.T) {
 		ID: 2, Kind: KindHazard, Target: "noop-hazard",
 		Hazard: &risk.Hazard{Name: "noop", Center: geo.Point{Lon: -40, Lat: -55}, RadiusKm: 1},
 	}
-	res = e.Run([]Scenario{far}, 1)[0]
+	res = e.Run([]Scenario{far})[0]
 	if res.FailedNodes != 0 || res.PairsLost != 0 {
 		t.Fatalf("remote hazard failed %d nodes, lost %d pairs", res.FailedNodes, res.PairsLost)
 	}
@@ -236,11 +239,12 @@ func dumpScenarioRelations(t *testing.T, g *core.IGDB) string {
 // scenario_runs and scenario_impacts contents — the PR's determinism
 // acceptance criterion.
 func TestStoredRowsByteIdenticalAcrossBuilds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var dumps [2]string
 	for i := range dumps {
 		g := newDB(t)
 		e := newEngine(t, g, Options{Seed: 42, Pairs: 64})
-		res := e.Run(e.Generate(25), 4)
+		res := e.Run(e.Generate(25))
 		if _, err := e.Store(res); err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +261,7 @@ func TestStoredRowsByteIdenticalAcrossBuilds(t *testing.T) {
 func TestStoreSQLQueryable(t *testing.T) {
 	g := newDB(t)
 	e := newEngine(t, g, Options{Seed: 9, Pairs: 32})
-	res := e.Run(e.Generate(10), 2)
+	res := e.Run(e.Generate(10))
 	n, err := e.Store(res)
 	if err != nil {
 		t.Fatal(err)
