@@ -88,7 +88,8 @@ func (s *Stmt) Query() (*Rows, error) { return s.QueryContext(context.Background
 
 // QueryContext executes the prepared plan against the current table
 // contents, and stops with ctx's error once ctx is done: the executor
-// looks at ctx once per 1,024 rows it filters, joins, groups or emits.
+// looks at ctx once per 1,024 rows it reads or joins, pairs it probes or
+// groups it emits.
 // The plan is shared and never mutated by execution, so concurrent calls
 // on one Stmt are safe. EXPLAIN statements yield the plan tree as
 // single-column text rows.

@@ -10,9 +10,13 @@
 // DISTINCT. A hash index answers equality with a literal on its column,
 // and serves as the hash table of a join on it. Each execution of a
 // SELECT first binds it against the current tables: column references
-// become row positions, operators op codes, aggregates slots computed
-// once per group, and ORDER BY aliases and ordinals the select items they
-// name; no row looks a name up.
+// become row positions, operators op codes, aggregates slots accumulated
+// per group, and ORDER BY aliases and ordinals the select items they
+// name; no row looks a name up. It then runs as one push pipeline: each
+// row the scan reads goes, on one reused joined row, through the filters
+// and joins to its group or to the output, so an execution holds its
+// joins' right sides, its groups' state and its output rows, and a LIMIT
+// with nothing to order, deduplicate or aggregate stops the scan.
 // Geometries are stored as WKT text, matching the paper's storage model.
 package reldb
 

@@ -84,8 +84,11 @@ func readSQL(r *http.Request) (string, error) {
 
 // attachPlanSpans mirrors an EXPLAIN ANALYZE plan tree into the request's
 // span tree so slow-query traces show parse → exec → per-operator stages.
-// The executor records operator durations but not start offsets, so every
-// operator span shares its stage's start instant.
+// Operator durations are inclusive: each runs from the start of the
+// execution to the moment the operator's last row left it, so every
+// operator span starts at its stage's start instant and covers the spans
+// of the operators beneath it. Operators fused into reldb's pipeline end
+// together and share one duration.
 func attachPlanSpans(parent *obs.Span, n *reldb.PlanNode, start time.Time) {
 	if parent == nil || n == nil {
 		return
