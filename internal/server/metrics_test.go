@@ -3,6 +3,7 @@ package server
 import (
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,9 @@ func metricBase(name string, histograms map[string]bool) string {
 // TestMetricsExposition lints the /metrics output: every exposed metric has
 // exactly one HELP and one TYPE line, TYPE precedes the metric's samples,
 // every sample line is well-formed Prometheus text format, and every name
-// matches igdb_[a-z][a-z0-9_]*.
+// matches igdb_[a-z][a-z0-9_]*. It also requires every series perfbench
+// reads, and positive parse and exec totals after an uncached statement:
+// perfbench reads a missing or zero series as 0 without failing.
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -47,6 +50,7 @@ func TestMetricsExposition(t *testing.T) {
 	typeCount := map[string]int{}
 	histograms := map[string]bool{}
 	samplesSeen := map[string]bool{}
+	values := map[string]string{} // unlabeled samples
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		switch {
 		case strings.HasPrefix(line, "# HELP "):
@@ -84,6 +88,9 @@ func TestMetricsExposition(t *testing.T) {
 				continue
 			}
 			samplesSeen[metricBase(m[1], histograms)] = true
+			if m[2] == "" {
+				values[m[1]] = m[4]
+			}
 		}
 	}
 
@@ -115,9 +122,17 @@ func TestMetricsExposition(t *testing.T) {
 		"igdb_sql_statements", "igdb_sql_calls_total", "igdb_sql_errors_total",
 		"igdb_sql_rows_total", "igdb_sql_parse_seconds_total",
 		"igdb_sql_exec_seconds_total", "igdb_sql_dropped_total",
+		"igdb_result_cache_hits_total", "igdb_result_cache_misses_total",
+		"igdb_plan_cache_hits_total", "igdb_plan_cache_misses_total",
+		"igdb_requests_rejected_total",
 	} {
 		if !samplesSeen[name] {
 			t.Errorf("metric %s exposed no samples", name)
+		}
+	}
+	for _, name := range []string{"igdb_sql_parse_seconds_total", "igdb_sql_exec_seconds_total"} {
+		if v, err := strconv.ParseFloat(values[name], 64); err != nil || v <= 0 {
+			t.Errorf("%s = %q after an uncached /sql, want > 0", name, values[name])
 		}
 	}
 }

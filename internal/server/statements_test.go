@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -272,6 +273,39 @@ func TestSlowLogFingerprintAndTrace(t *testing.T) {
 			if _, ok := ts.Attrs["rows_out"]; !ok {
 				t.Fatalf("op:filter span has no rows_out attr: %+v", ts)
 			}
+		}
+	}
+	// parse and exec sit under sql, and each operator under exec or the
+	// operator above it, listed before it. Operator time is inclusive from
+	// the start of the execution, so every operator row starts where exec
+	// does (to within the jitter of two clock reads).
+	for _, tr := range [][]TraceSpan{plain.Trace, ex.Trace} {
+		var exec *TraceSpan
+		seen := map[string]bool{}
+		for i, ts := range tr {
+			switch {
+			case ts.Name == "sql":
+				if ts.Parent != "" {
+					t.Errorf("sql has parent %q, want none", ts.Parent)
+				}
+			case ts.Name == "parse" || ts.Name == "exec":
+				if ts.Parent != "sql" {
+					t.Errorf("%s has parent %q, want sql", ts.Name, ts.Parent)
+				}
+				if ts.Name == "exec" {
+					exec = &tr[i]
+				}
+			case strings.HasPrefix(ts.Name, "op:"):
+				if (ts.Parent != "exec" && !strings.HasPrefix(ts.Parent, "op:")) || !seen[ts.Parent] {
+					t.Errorf("%s has parent %q, want exec or an operator listed before it", ts.Name, ts.Parent)
+				}
+				if exec == nil || math.Abs(ts.StartMs-exec.StartMs) > 0.01 {
+					t.Errorf("%s starts at %g ms, want exec's offset (exec: %+v)", ts.Name, ts.StartMs, exec)
+				}
+			default:
+				t.Errorf("unexpected trace row %+v", ts)
+			}
+			seen[ts.Name] = true
 		}
 	}
 
