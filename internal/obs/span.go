@@ -41,22 +41,6 @@ func (s *Span) Start(name string) *Span {
 	return child
 }
 
-// AddTimed appends an already-measured child span: a stage whose timing
-// was captured outside the tracer (e.g. per-operator executor
-// instrumentation) joins the tree with its externally measured duration.
-// The child is created closed, offset from start by the given delay.
-// Returns nil (a valid no-op span) when s is nil.
-func (s *Span) AddTimed(name string, start time.Time, d time.Duration, attrs ...Field) *Span {
-	if s == nil {
-		return nil
-	}
-	child := &Span{name: name, parent: s, start: start, end: start.Add(d), attrs: attrs}
-	s.mu.Lock()
-	s.children = append(s.children, child)
-	s.mu.Unlock()
-	return child
-}
-
 // End freezes the span's duration. Ending twice keeps the first end time.
 func (s *Span) End() {
 	if s == nil {

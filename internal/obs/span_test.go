@@ -146,35 +146,3 @@ func TestSpanConcurrency(t *testing.T) {
 		t.Fatalf("spans = %d, want 9", got)
 	}
 }
-
-func TestSpanAddTimed(t *testing.T) {
-	root := StartTrace("sql")
-	t0 := time.Now()
-	child := root.AddTimed("scan", t0, 42*time.Millisecond, Field{Key: "rows_out", Val: 7})
-	grand := child.AddTimed("probe", t0, 5*time.Millisecond)
-	if grand == nil {
-		t.Fatal("AddTimed on a timed child returned nil")
-	}
-	root.End()
-
-	infos := root.Flatten()
-	if len(infos) != 3 {
-		t.Fatalf("flattened spans = %d, want 3", len(infos))
-	}
-	if infos[1].Name != "scan" || infos[1].Parent != "sql" {
-		t.Fatalf("child info = %+v", infos[1])
-	}
-	if got := infos[1].DurationMs; got < 41.999 || got > 42.001 {
-		t.Fatalf("child duration = %g ms, want exactly 42 (pre-measured)", got)
-	}
-	if len(infos[1].Attrs) != 1 || infos[1].Attrs[0].Key != "rows_out" {
-		t.Fatalf("attrs = %+v", infos[1].Attrs)
-	}
-	if infos[2].Name != "probe" || infos[2].Depth != 2 {
-		t.Fatalf("grandchild info = %+v", infos[2])
-	}
-	var nilSpan *Span
-	if got := nilSpan.AddTimed("x", t0, time.Second); got != nil {
-		t.Fatal("AddTimed on nil span must return nil")
-	}
-}

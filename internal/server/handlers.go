@@ -82,110 +82,48 @@ func readSQL(r *http.Request) (string, error) {
 	return trimmed, nil
 }
 
-// attachPlanSpans mirrors an EXPLAIN ANALYZE plan tree into the request's
-// span tree so slow-query traces show parse → exec → per-operator stages.
-// Operator durations are inclusive: each runs from the start of the
-// execution to the moment the operator's last row left it, so every
-// operator span starts at its stage's start instant and covers the spans
-// of the operators beneath it. Operators fused into reldb's pipeline end
-// together and share one duration.
-func attachPlanSpans(parent *obs.Span, n *reldb.PlanNode, start time.Time) {
-	if parent == nil || n == nil {
-		return
-	}
-	var d time.Duration
-	attrs := make([]obs.Field, 0, 4)
-	if n.Table != "" {
-		attrs = append(attrs, obs.F("table", n.Table))
-	}
-	if n.Actual != nil {
-		d = time.Duration(n.Actual.TimeMs * float64(time.Millisecond))
-		attrs = append(attrs,
-			obs.F("rows_in", n.Actual.RowsIn),
-			obs.F("rows_out", n.Actual.RowsOut),
-			obs.F("loops", n.Actual.Loops))
-	}
-	child := parent.AddTimed("op:"+n.Op, start, d, attrs...)
-	for _, c := range n.Children {
-		attachPlanSpans(child, c, start)
-	}
-}
-
 // handleSQL serves POST /sql: read-only SELECT (or EXPLAIN / EXPLAIN
 // ANALYZE) against the current snapshot, with plan and result caching.
-// DDL/DML is refused with 403 before touching the database. Every request
-// contributes a sample to the per-fingerprint statement statistics.
+// DDL/DML is refused with 403 before touching the database. The request
+// fills one record, which recordSQL reads on every exit path.
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	sp := obs.StartTrace("sql")
-	var qSQL, qFP string
-	var qRows int
-	var qCached bool
-	var qErr string
-	var smpl stmtSample
-	defer func() {
-		sp.End()
-		elapsed := time.Since(t0)
-		if qFP != "" {
-			smpl.total = elapsed
-			smpl.rows = qRows
-			smpl.err = qErr != ""
-			smpl.resultHit = qCached
-			s.stmts.record(qFP, smpl)
-		}
-		if s.qlog == nil || qSQL == "" || elapsed < s.slowMin {
-			return
-		}
-		s.metrics.slowQueries.Add(1)
-		s.qlog.add(QueryLogEntry{
-			Time:        t0,
-			RequestID:   RequestID(r),
-			SQL:         qSQL,
-			Fingerprint: qFP,
-			Rows:        qRows,
-			DurationMs:  float64(elapsed) / float64(time.Millisecond),
-			CacheHit:    qCached,
-			Err:         qErr,
-			Trace:       traceFromSpan(sp),
-		})
-	}()
+	q := &QueryLogEntry{Time: time.Now()}
+	defer s.recordSQL(r, q)
 	sql, err := readSQL(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	qSQL = sql
+	q.SQL = sql
 	norm := normalizeSQL(sql)
-	qFP = reldb.Fingerprint(norm)
+	q.Fingerprint = reldb.Fingerprint(norm)
 	snap := s.current()
 
 	if snap.results != nil {
 		if res, ok := snap.results.Get(norm); ok {
 			s.metrics.resultHits.Add(1)
-			qRows, qCached = res.RowCount, true
+			q.Rows, q.CacheHit = res.RowCount, true
 			writeJSON(w, http.StatusOK, sqlResponse{
 				sqlResult:   *res,
 				Cached:      true,
 				SnapshotSeq: snap.seq,
-				ElapsedMs:   float64(time.Since(t0)) / float64(time.Millisecond),
+				ElapsedMs:   durMs(time.Since(q.Time)),
 			})
 			return
 		}
 	}
 
 	stmt, ok := snap.plans.Get(norm)
+	q.planHit = ok
 	if ok {
 		s.metrics.planHits.Add(1)
-		smpl.planHit = true
 	} else {
 		s.metrics.planMisses.Add(1)
-		psp := sp.Start("parse")
-		pt0 := time.Now()
+		q.parseStart = time.Now()
 		stmt, err = snap.g.Rel.Prepare(norm)
-		smpl.parse = time.Since(pt0)
-		psp.End()
+		q.parse = time.Since(q.parseStart)
 		if err != nil {
-			qErr = err.Error()
+			q.Err = err.Error()
 			if errors.Is(err, reldb.ErrNotSelect) {
 				writeError(w, http.StatusForbidden, "read-only API: %v", err)
 			} else {
@@ -205,34 +143,30 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 
 	// The executor stops at the request deadline, so the limiter slot is
 	// held exactly as long as the statement runs.
-	esp := sp.Start("exec")
-	et0 := time.Now()
+	q.execStart = time.Now()
 	var rows *reldb.Rows
-	var plan *reldb.PlanNode
 	if isExplain {
-		plan, err = stmt.ExplainContext(r.Context())
+		q.plan, err = stmt.ExplainContext(r.Context())
 	} else {
 		rows, err = stmt.QueryContext(r.Context())
 	}
-	smpl.exec = time.Since(et0)
-	esp.End()
+	q.exec = time.Since(q.execStart)
 	if err != nil {
 		if r.Context().Err() != nil {
 			s.metrics.rejected.Add(1)
-			qErr = "query exceeded the request deadline"
+			q.Err = "query exceeded the request deadline"
 			writeError(w, http.StatusGatewayTimeout, "query exceeded the request deadline")
 			return
 		}
-		qErr = err.Error()
+		q.Err = err.Error()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if plan != nil {
-		rows = plan.Rows()
-		attachPlanSpans(esp, plan, et0)
+	if q.plan != nil {
+		rows = q.plan.Rows()
 	}
 
-	qRows = rows.Len()
+	q.Rows = rows.Len()
 	res := &sqlResult{Columns: rows.Columns, RowCount: rows.Len()}
 	n := rows.Len()
 	if n > s.cfg.MaxResultRows {
@@ -260,8 +194,8 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sqlResponse{
 		sqlResult:   *res,
 		SnapshotSeq: snap.seq,
-		ElapsedMs:   float64(time.Since(t0)) / float64(time.Millisecond),
-		Plan:        plan,
+		ElapsedMs:   durMs(time.Since(q.Time)),
+		Plan:        q.plan,
 	})
 }
 

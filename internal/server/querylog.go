@@ -5,12 +5,15 @@ import (
 	"sync"
 	"time"
 
-	"igdb/internal/obs"
+	"igdb/internal/reldb"
 )
 
-// QueryLogEntry is one recorded /sql statement that crossed the slow-query
-// threshold (or any statement when the threshold is negative). Fingerprint
-// links the entry to its aggregate under GET /debug/statements.
+// QueryLogEntry is one /sql request's record. handleSQL fills it as the
+// request runs, reading the clock once at each stage's start and end, and
+// recordSQL reads it at the handler's exit. An entry that crossed the
+// slow-query threshold (any entry when the threshold is negative) is kept
+// in the slow-query log with its Trace rendered. Fingerprint links the
+// entry to its aggregate under GET /debug/statements.
 type QueryLogEntry struct {
 	Time        time.Time   `json:"time"`
 	RequestID   string      `json:"request_id,omitempty"`
@@ -21,11 +24,15 @@ type QueryLogEntry struct {
 	CacheHit    bool        `json:"cache_hit"`
 	Err         string      `json:"error,omitempty"`
 	Trace       []TraceSpan `json:"trace,omitempty"`
+
+	planHit               bool
+	plan                  *reldb.PlanNode // an EXPLAIN's plan, with actuals under ANALYZE
+	parseStart, execStart time.Time       // zero when the stage did not run
+	parse, exec, total    time.Duration
 }
 
-// TraceSpan is one executor span flattened for the slow-query log: where a
-// slow statement actually spent its time (parse, exec, and — under EXPLAIN
-// ANALYZE — each plan operator).
+// TraceSpan is one stage of a slow statement: where it actually spent its
+// time (parse, exec, and — under EXPLAIN ANALYZE — each plan operator).
 type TraceSpan struct {
 	Name       string                 `json:"name"`
 	Parent     string                 `json:"parent,omitempty"`
@@ -34,30 +41,63 @@ type TraceSpan struct {
 	Attrs      map[string]interface{} `json:"attrs,omitempty"`
 }
 
-// traceFromSpan flattens a finished span tree into TraceSpan rows.
-func traceFromSpan(sp *obs.Span) []TraceSpan {
-	infos := sp.Flatten()
-	if len(infos) == 0 {
-		return nil
+// recordSQL is the one reader of a /sql request's record. handleSQL defers
+// it, so every exit path passes through it. It feeds the statement
+// statistics, igdb_slow_queries_total and the slow-query log, and renders
+// the trace only for an entry the log keeps.
+func (s *Server) recordSQL(r *http.Request, q *QueryLogEntry) {
+	q.total = time.Since(q.Time)
+	s.stmts.record(q.Fingerprint, q)
+	if q.SQL == "" || q.total < s.slowMin {
+		return
 	}
-	out := make([]TraceSpan, len(infos))
-	for i, in := range infos {
-		ts := TraceSpan{
-			Name:       in.Name,
-			Parent:     in.Parent,
-			StartMs:    in.StartMs,
-			DurationMs: in.DurationMs,
-		}
-		if len(in.Attrs) > 0 {
-			ts.Attrs = make(map[string]interface{}, len(in.Attrs))
-			for _, f := range in.Attrs {
-				ts.Attrs[f.Key] = f.Val
-			}
-		}
-		out[i] = ts
-	}
-	return out
+	s.metrics.slowQueries.Add(1)
+	q.RequestID = RequestID(r)
+	q.DurationMs = durMs(q.total)
+	q.Trace = q.trace()
+	s.qlog.add(*q)
 }
+
+// trace renders the record as rows: sql, then parse and exec where they
+// ran, then each plan operator under exec or the operator above it.
+// Operator time is inclusive from the start of the execution, so every
+// operator row starts at exec's offset and covers the operators beneath
+// it; operators fused into reldb's pipeline end together.
+func (q *QueryLogEntry) trace() []TraceSpan {
+	rows := []TraceSpan{{Name: "sql", DurationMs: durMs(q.total)}}
+	if !q.parseStart.IsZero() {
+		rows = append(rows, TraceSpan{Name: "parse", Parent: "sql",
+			StartMs: durMs(q.parseStart.Sub(q.Time)), DurationMs: durMs(q.parse)})
+	}
+	if q.execStart.IsZero() {
+		return rows
+	}
+	execMs := durMs(q.execStart.Sub(q.Time))
+	rows = append(rows, TraceSpan{Name: "exec", Parent: "sql", StartMs: execMs, DurationMs: durMs(q.exec)})
+	return appendOps(rows, q.plan, "exec", execMs)
+}
+
+// appendOps appends n and the operators beneath it in pre-order.
+func appendOps(rows []TraceSpan, n *reldb.PlanNode, parent string, startMs float64) []TraceSpan {
+	if n == nil {
+		return rows
+	}
+	op := TraceSpan{Name: "op:" + n.Op, Parent: parent, StartMs: startMs, Attrs: map[string]interface{}{}}
+	if n.Table != "" {
+		op.Attrs["table"] = n.Table
+	}
+	if a := n.Actual; a != nil {
+		op.DurationMs = durMs(time.Duration(a.TimeMs * float64(time.Millisecond)))
+		op.Attrs["rows_in"], op.Attrs["rows_out"], op.Attrs["loops"] = a.RowsIn, a.RowsOut, a.Loops
+	}
+	rows = append(rows, op)
+	for _, c := range n.Children {
+		rows = appendOps(rows, c, op.Name, startMs)
+	}
+	return rows
+}
+
+func durMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // queryLog is a fixed-capacity ring buffer of slow queries. Writers never
 // block readers for long: add and entries both take one short mutex.

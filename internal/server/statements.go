@@ -44,19 +44,8 @@ func newStmtStats(max int) *stmtStats {
 	return &stmtStats{m: make(map[string]*stmtStat), max: max}
 }
 
-// stmtSample is one /sql execution's contribution: the parse/exec split,
-// result size, and which caches served it.
-type stmtSample struct {
-	parse     time.Duration
-	exec      time.Duration
-	total     time.Duration
-	rows      int
-	err       bool
-	planHit   bool
-	resultHit bool
-}
-
-func (ss *stmtStats) record(fp string, smpl stmtSample) {
+// record adds one /sql request's record to fp's aggregate.
+func (ss *stmtStats) record(fp string, q *QueryLogEntry) {
 	if fp == "" {
 		return
 	}
@@ -72,20 +61,20 @@ func (ss *stmtStats) record(fp string, smpl stmtSample) {
 		ss.m[fp] = st
 	}
 	st.calls++
-	if smpl.err {
+	if q.Err != "" {
 		st.errors++
 	}
-	st.rows += uint64(smpl.rows)
-	if smpl.planHit {
+	st.rows += uint64(q.Rows)
+	if q.planHit {
 		st.planHits++
 	}
-	if smpl.resultHit {
+	if q.CacheHit {
 		st.resultHits++
 	}
-	st.parseNs += uint64(smpl.parse)
-	st.execNs += uint64(smpl.exec)
-	st.totalNs += uint64(smpl.total)
-	if ns := uint64(smpl.total); ns > st.maxNs {
+	st.parseNs += uint64(q.parse)
+	st.execNs += uint64(q.exec)
+	st.totalNs += uint64(q.total)
+	if ns := uint64(q.total); ns > st.maxNs {
 		st.maxNs = ns
 	}
 }

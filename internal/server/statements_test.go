@@ -15,17 +15,17 @@ import (
 
 func TestStmtStatsRecord(t *testing.T) {
 	ss := newStmtStats(4)
-	ss.record("SELECT a FROM t WHERE a = ?", stmtSample{
+	ss.record("SELECT a FROM t WHERE a = ?", &QueryLogEntry{
 		parse: time.Millisecond, exec: 2 * time.Millisecond,
-		total: 4 * time.Millisecond, rows: 10,
+		total: 4 * time.Millisecond, Rows: 10,
 	})
-	ss.record("SELECT a FROM t WHERE a = ?", stmtSample{
-		total: 2 * time.Millisecond, rows: 5, planHit: true,
+	ss.record("SELECT a FROM t WHERE a = ?", &QueryLogEntry{
+		total: 2 * time.Millisecond, Rows: 5, planHit: true,
 	})
-	ss.record("SELECT a FROM t WHERE a = ?", stmtSample{
-		total: time.Millisecond, err: true,
+	ss.record("SELECT a FROM t WHERE a = ?", &QueryLogEntry{
+		total: time.Millisecond, Err: "boom",
 	})
-	ss.record("", stmtSample{total: time.Hour}) // no fingerprint: dropped silently
+	ss.record("", &QueryLogEntry{total: time.Hour}) // no fingerprint: dropped silently
 
 	views, dropped := ss.snapshot()
 	if dropped != 0 {
@@ -48,11 +48,11 @@ func TestStmtStatsRecord(t *testing.T) {
 
 func TestStmtStatsCapacity(t *testing.T) {
 	ss := newStmtStats(2)
-	ss.record("A", stmtSample{})
-	ss.record("B", stmtSample{})
-	ss.record("C", stmtSample{}) // over capacity: counted only in dropped
-	ss.record("C", stmtSample{})
-	ss.record("A", stmtSample{}) // existing fingerprints still aggregate
+	ss.record("A", &QueryLogEntry{})
+	ss.record("B", &QueryLogEntry{})
+	ss.record("C", &QueryLogEntry{}) // over capacity: counted only in dropped
+	ss.record("C", &QueryLogEntry{})
+	ss.record("A", &QueryLogEntry{}) // existing fingerprints still aggregate
 
 	views, dropped := ss.snapshot()
 	if len(views) != 2 {
@@ -79,7 +79,7 @@ func TestStmtStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				fp := fmt.Sprintf("SELECT ? -- shape %d", i%16)
-				ss.record(fp, stmtSample{total: time.Microsecond, rows: 1})
+				ss.record(fp, &QueryLogEntry{total: time.Microsecond, Rows: 1})
 				if i%10 == 0 {
 					ss.snapshot()
 					ss.totals()
