@@ -194,33 +194,6 @@ func BenchmarkPipeline_AnalyzeMesh(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildTraced quantifies the span-tracing overhead: the same build
-// with tracing on (the default — span tree recorded and persisted into
-// build_trace) and off (SkipTrace). The Traced/op over Untraced/op ratio is
-// the observability tax; it should stay under a few percent.
-func BenchmarkBuildTraced(b *testing.B) {
-	store := serveBenchStore(b)
-	for _, bc := range []struct {
-		name string
-		skip bool
-	}{
-		{"Traced", false},
-		{"Untraced", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g, err := core.Build(store, core.BuildOptions{SkipTrace: bc.skip})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !bc.skip && g.BuildTrace == nil {
-					b.Fatal("traced build recorded no trace")
-				}
-			}
-		})
-	}
-}
-
 // --- serving-layer benchmarks ---
 
 // serveBenchSQL is the paper's Table 2 query (AS country presence), the

@@ -34,7 +34,7 @@ func matrixBase(t *testing.T) *ingest.Store {
 // fastOpts keeps each matrix build cheap; the matrix is about fault
 // handling, not geometry.
 func fastOpts(degraded bool) core.BuildOptions {
-	return core.BuildOptions{SkipPolygons: true, MaxStandardPaths: 25, Degraded: degraded}
+	return core.BuildOptions{SkipPolygons: true, Degraded: degraded}
 }
 
 // matrixFaults are the acceptance fault classes, by name.

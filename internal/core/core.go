@@ -70,8 +70,8 @@ type IGDB struct {
 	SourceStatus []SourceStatus
 	// BuildTrace is the span tree Build recorded: per-source loads, the
 	// Voronoi/Thiessen standardization join, relation construction, and
-	// path inference. Nil only with BuildOptions.SkipTrace. Mirrors the
-	// build_trace relation.
+	// path inference. Mirrors the build_trace relation. Nil on a database
+	// built by FromRelations, which records no build.
 	BuildTrace *obs.Span
 
 	tree    *spatial.KDTree
@@ -92,9 +92,6 @@ type BuildOptions struct {
 	// nearest-neighbour join does not need them; they exist for analysis
 	// and rendering).
 	SkipPolygons bool
-	// MaxStandardPaths caps right-of-way inference (0 = unlimited); useful
-	// for quick interactive builds.
-	MaxStandardPaths int
 	// Degraded keeps building when a source is corrupt, missing, or
 	// stale: the offending source is quarantined (recorded in the
 	// source_status relation with its error) and the database is
@@ -106,11 +103,6 @@ type BuildOptions struct {
 	// otherwise the newest snapshot in the store — by more than this.
 	// Zero disables staleness checks.
 	StaleAfter time.Duration
-	// SkipTrace disables span recording entirely: no BuildTrace, an empty
-	// build_trace relation. The untraced baseline for overhead benchmarks.
-	// Otherwise Build records its stage spans under a root span of its own,
-	// "build".
-	SkipTrace bool
 	// Logger receives structured build diagnostics (quarantine events).
 	// Nil is silent.
 	Logger *obs.Logger
@@ -239,10 +231,7 @@ var loaders = []loaderSpec{
 // g.SourceStatus and the source_status relation so operators can query
 // exactly which sources the database was built without.
 func Build(store ingest.Reader, opts BuildOptions) (*IGDB, error) {
-	var root *obs.Span
-	if !opts.SkipTrace {
-		root = obs.StartTrace("build")
-	}
+	root := obs.StartTrace("build")
 	g := &IGDB{
 		Rel:        reldb.New(),
 		AsOf:       opts.AsOf,
@@ -277,7 +266,7 @@ func Build(store ingest.Reader, opts BuildOptions) (*IGDB, error) {
 	}
 	endStage(sp)
 	sp = root.Start("infer_standard_paths")
-	if err := g.inferStandardPaths(opts); err != nil {
+	if err := g.inferStandardPaths(); err != nil {
 		return nil, err
 	}
 	sp.SetAttr("paths", g.Rel.Table("std_paths").Len())
@@ -428,9 +417,6 @@ func (g *IGDB) storeSourceStatus() error {
 // one row per stage, so the last build's timings are queryable with plain
 // SQL, exactly like source_status makes degradation queryable.
 func (g *IGDB) storeBuildTrace() error {
-	if g.BuildTrace == nil {
-		return nil
-	}
 	infos := g.BuildTrace.Flatten()
 	rows := make([][]reldb.Value, 0, len(infos))
 	for _, si := range infos {

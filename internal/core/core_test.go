@@ -229,7 +229,7 @@ func TestConsistencyCheckCatchesCorruption(t *testing.T) {
 	if err := ingest.Collect(w, store, time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(store, BuildOptions{SkipPolygons: true, MaxStandardPaths: 5})
+	g, err := Build(store, BuildOptions{SkipPolygons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestBuildAsOfSelectsSnapshot(t *testing.T) {
 	if err := ingest.Collect(w, store, d2); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(store, BuildOptions{AsOf: d1.Add(time.Hour), SkipPolygons: true, MaxStandardPaths: 5})
+	g, err := Build(store, BuildOptions{AsOf: d1.Add(time.Hour), SkipPolygons: true})
 	if err != nil {
 		t.Fatal(err)
 	}

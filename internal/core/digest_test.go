@@ -34,7 +34,7 @@ func smallWorldDigests() (traces, routers, stdPaths string, err error) {
 	if err := ingest.Collect(w, store, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		return "", "", "", err
 	}
-	g, err := Build(store, BuildOptions{SkipTrace: true})
+	g, err := Build(store, BuildOptions{})
 	if err != nil {
 		return "", "", "", err
 	}

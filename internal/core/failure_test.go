@@ -48,7 +48,7 @@ func TestBuildFailsOnCorruptSnapshots(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			store := corruptStore(t, c.source, c.file, c.data)
-			_, err := Build(store, BuildOptions{SkipPolygons: true, MaxStandardPaths: 5})
+			_, err := Build(store, BuildOptions{SkipPolygons: true})
 			if err == nil {
 				t.Fatalf("Build succeeded despite corrupt %s/%s", c.source, c.file)
 			}
@@ -68,22 +68,17 @@ func TestBuildFailsOnMissingSource(t *testing.T) {
 	}
 }
 
-// MaxStandardPaths caps right-of-way inference for quick builds.
-func TestMaxStandardPathsCap(t *testing.T) {
+// SkipPolygons builds no Thiessen diagram and leaves city_polygons empty.
+func TestSkipPolygons(t *testing.T) {
 	w, _ := testDB(t)
 	store := ingest.NewStore("")
 	if err := ingest.Collect(w, store, time.Date(2026, 7, 3, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(store, BuildOptions{SkipPolygons: true, MaxStandardPaths: 7})
+	g, err := Build(store, BuildOptions{SkipPolygons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := g.Rel.MustQuery(`SELECT COUNT(*) FROM std_paths`)
-	if n, _ := rows.Rows[0][0].AsInt(); n > 7 {
-		t.Errorf("std_paths = %d, cap was 7", n)
-	}
-	// The cap also skips polygon construction in this configuration.
 	if g.Diagram != nil {
 		t.Error("SkipPolygons ignored")
 	}

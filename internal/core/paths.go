@@ -119,18 +119,14 @@ func (g *IGDB) loadRightOfWay(store ingest.Reader, opts BuildOptions) error {
 // grouped by source city so one Dijkstra serves all pairs from that city;
 // the sources are spread over every core, each writing its own slot, and
 // the rows are stored in source order whatever the core count.
-func (g *IGDB) inferStandardPaths(opts BuildOptions) error {
+func (g *IGDB) inferStandardPaths() error {
 	if g.Row == nil {
 		// Degraded build with the right-of-way layer quarantined: no
 		// network to route along, so no standard paths.
 		return nil
 	}
-	adj := g.pendingAdjacencies
-	if opts.MaxStandardPaths > 0 && len(adj) > opts.MaxStandardPaths {
-		adj = adj[:opts.MaxStandardPaths]
-	}
 	bySrc := make(map[int][]int)
-	for _, pair := range adj {
+	for _, pair := range g.pendingAdjacencies {
 		bySrc[pair[0]] = append(bySrc[pair[0]], pair[1])
 	}
 	srcs := make([]int, 0, len(bySrc))

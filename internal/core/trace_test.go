@@ -5,9 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"igdb/internal/ingest"
-	"igdb/internal/worldgen"
 )
 
 // TestBuildTraceRecorded: every build records a span tree and persists it
@@ -140,26 +137,6 @@ func TestBuildTraceStages(t *testing.T) {
 	}
 	if loads != len(loaders) {
 		t.Errorf("Stages() has %d load/* entries, want %d", loads, len(loaders))
-	}
-}
-
-// TestBuildSkipTrace: SkipTrace suppresses the span tree and leaves the
-// build_trace relation empty — the untraced-benchmark baseline.
-func TestBuildSkipTrace(t *testing.T) {
-	w := worldgen.Generate(worldgen.SmallConfig())
-	store := ingest.NewStore("")
-	if err := ingest.Collect(w, store, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Build(store, BuildOptions{SkipTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.BuildTrace != nil {
-		t.Fatal("SkipTrace still recorded a BuildTrace")
-	}
-	if n := g.Rel.Table("build_trace").Len(); n != 0 {
-		t.Fatalf("build_trace has %d rows under SkipTrace, want 0", n)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestSmallWorldAnswersPinned(t *testing.T) {
 	if err := ingest.Collect(w, store, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.Build(store, core.BuildOptions{SkipTrace: true})
+	g, err := core.Build(store, core.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -413,13 +413,6 @@ func jitteredPath(r *rand.Rand, a, b geo.Point) []geo.Point {
 	return append(path, b)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RoadGraph builds a weighted graph over cities from the right-of-way
 // edges; useful to callers computing shortest corridors on ground truth.
 func (w *World) RoadGraph() *graph.Graph {

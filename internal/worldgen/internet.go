@@ -926,10 +926,3 @@ func (w *World) ensureRouter(r *rand.Rand, as *AS, isp *ISP, city int) *Router {
 	w.Routers = append(w.Routers, rt)
 	return &w.Routers[len(w.Routers)-1]
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

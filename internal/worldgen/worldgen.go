@@ -312,12 +312,8 @@ func Generate(cfg Config) *World {
 	}
 	// Separate streams per stage keep downstream stages stable when one
 	// stage's draw count changes.
-	stage := traceStage("geography")
 	w.genGeography(rand.New(rand.NewSource(cfg.Seed)))
-	stage = stage.next("internet")
 	w.genInternet(rand.New(rand.NewSource(cfg.Seed + 1)))
-	stage = stage.next("traceroutes")
 	w.genTraceroutes(rand.New(rand.NewSource(cfg.Seed + 2)))
-	stage.done()
 	return w
 }
