@@ -441,7 +441,7 @@ func CollectWith(ctx context.Context, w *worldgen.World, store *Store, asOf time
 					obs.F("source", f.source), obs.F("attempts", opts.MaxAttempts), obs.F("err", err))
 				break
 			}
-			delay := backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng)
+			delay := Backoff(opts.BaseBackoff, opts.MaxBackoff, attempt, rng)
 			retriesTotal.Add(1)
 			opts.Logger.Warn("collection attempt failed, retrying",
 				obs.F("source", f.source), obs.F("attempt", attempt),
@@ -487,10 +487,11 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// backoff computes the delay before retry #attempt: base doubled per
-// attempt, capped, then jittered to 50–150% so a fleet of collectors does
-// not retry in lockstep.
-func backoff(base, cap time.Duration, attempt int, rng *rand.Rand) time.Duration {
+// Backoff computes the delay before retry #attempt: base doubled per
+// attempt, capped, then jittered to 50–150% so a fleet of collectors or
+// followers does not retry in lockstep. The collector and the replication
+// fetcher both retry under it, each with its own base and cap.
+func Backoff(base, cap time.Duration, attempt int, rng *rand.Rand) time.Duration {
 	d := base << (attempt - 1)
 	if d > cap || d <= 0 {
 		d = cap

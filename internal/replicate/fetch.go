@@ -187,6 +187,13 @@ func sameShape(t *reldb.Table, dec *reldb.DecodedTable) bool {
 func (f *Fetcher) fetchChunk(ctx context.Context, ref ChunkRef) ([]byte, int, error) {
 	rng := rand.New(rand.NewSource(f.Seed ^ int64(len(ref.SHA256))*31 ^ int64(ref.Bytes)))
 	attempts := f.attempts()
+	base, ceil := f.BaseBackoff, f.MaxBackoff
+	if base <= 0 {
+		base = 50 * time.Millisecond
+	}
+	if ceil <= 0 {
+		ceil = 2 * time.Second
+	}
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		data, err := f.get(ctx, f.LeaderURL+ChunkPathPrefix+ref.SHA256, maxChunkBytes)
@@ -202,7 +209,7 @@ func (f *Fetcher) fetchChunk(ctx context.Context, ref ChunkRef) ([]byte, int, er
 		if !ingest.IsTransient(err) || attempt == attempts || ctx.Err() != nil {
 			return nil, attempt - 1, fmt.Errorf("replicate: chunk %s (%s): %w", ref.Name, ref.SHA256[:12], lastErr)
 		}
-		delay := jitteredBackoff(f.BaseBackoff, f.MaxBackoff, attempt, rng)
+		delay := ingest.Backoff(base, ceil, attempt, rng)
 		f.Logger.Warn("chunk fetch failed, retrying",
 			obs.F("chunk", ref.Name), obs.F("attempt", attempt),
 			obs.F("backoff", delay), obs.F("err", err))
@@ -247,21 +254,4 @@ func (f *Fetcher) get(ctx context.Context, url string, limit int64) ([]byte, err
 		return nil, fmt.Errorf("replicate: %s exceeds the %d-byte limit", url, limit)
 	}
 	return body, nil
-}
-
-// jitteredBackoff mirrors the ingest collector's policy: base doubled per
-// attempt, capped, jittered to 50–150% so a follower fleet does not retry
-// in lockstep.
-func jitteredBackoff(base, cap time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
-	d := base << (attempt - 1)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
